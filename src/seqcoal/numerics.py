@@ -14,9 +14,22 @@ _STIRLING_CUTOFF = 1.0e6
 
 def _bernoulli_tail(z):
     # Stirling correction 1/(12z) - 1/(360 z^3) + 1/(1260 z^5); terms beyond
-    # are < 1e-38 for z >= 1e6.
-    inv2 = 1.0 / (z * z)
+    # are < 1e-38 for z >= 1e6.  Past z = 1e150 the z^-3 terms fall below
+    # the rounding of 1/12, so capping z there changes no value and keeps
+    # z * z from overflowing.
+    zc = np.minimum(z, 1e150)
+    inv2 = 1.0 / (zc * zc)
     return (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / z
+
+
+def _paired_stirling(z, m, rest):
+    return (m * np.log(z) - (rest - 0.5) * np.log1p(-m / z) - m
+            + _bernoulli_tail(z) - _bernoulli_tail(rest))
+
+
+def _direct(z, rest):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return gammaln(z) - gammaln(rest)
 
 
 def log_gamma_diff(z, m):
@@ -24,30 +37,33 @@ def log_gamma_diff(z, m):
 
     For large z the two log-gamma values are huge and nearly equal while the
     difference is moderate, so naive subtraction loses most digits.  When both
-    z and z - m are large the difference is evaluated in paired Stirling form,
+    z and z - m are at least the cutoff the difference is evaluated in paired
+    Stirling form,
 
         m ln z - (z - m - 1/2) log1p(-m/z) - m + B(z) - B(z - m),
 
     whose error tracks the size of the result instead of the size of the
-    operands.  Requires 0 <= m <= z - 1 elementwise (z - m = 0 gives +inf
-    from the direct branch, which callers rely on for out-of-support points).
+    operands; below it, as the direct gammaln difference.  Each element is
+    computed on its own branch only.  Requires 0 <= m <= z - 1 elementwise,
+    except that z - m = 0 gives -inf from the direct branch, which the rank
+    tail relies on for its zero past the support.
     """
     z = np.asarray(z, dtype=float)
     m = np.asarray(m, dtype=float)
     rest = z - m
-    safe_z = np.maximum(z, 1.0)
-    safe_rest = np.maximum(rest, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = gammaln(z) - gammaln(rest)
-        paired = (
-            m * np.log(safe_z)
-            - (safe_rest - 0.5) * np.log1p(-m / safe_z)
-            - m
-            + _bernoulli_tail(safe_z)
-            - _bernoulli_tail(safe_rest)
-        )
-    use_paired = (rest >= _STIRLING_CUTOFF) & (z >= _STIRLING_CUTOFF)
-    out = np.where(use_paired, paired, direct)
+    paired = (rest >= _STIRLING_CUTOFF) & (z >= _STIRLING_CUTOFF)
+    # arrays on one branch skip the masked gather and scatter, which would
+    # cost the lockstep chain about an eighth of its time
+    if paired.all():
+        out = _paired_stirling(z, m, rest)
+    elif not paired.any():
+        out = _direct(z, rest)
+    else:
+        z, m = np.broadcast_arrays(z, m)
+        out = np.empty(z.shape)
+        out[paired] = _paired_stirling(z[paired], m[paired], rest[paired])
+        direct = ~paired
+        out[direct] = _direct(z[direct], rest[direct])
     if out.ndim == 0:
         return float(out)
     return out

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import log_gamma_diff
+from .streams import nonzero_uniform
 
 __all__ = [
     "EXACT_LIMIT",
@@ -52,9 +53,15 @@ __all__ = [
 # carries exact=False.
 EXACT_LIMIT = 2**127 - 1
 
-# Largest position index for which the scalar sampler confirms its
-# log-gamma bisection result with the exact sequential tail recursion.
-_VERIFY_LIMIT = 10**6
+# Largest position index for which the scalar sampler scans the support with
+# the sequential tail recursion; past it, it runs the guided inversion.
+_SCAN_LIMIT = 10**6
+
+# Largest position the floating-point continuation carries.  Below it the
+# guided inversion's start -a ln u (at most about 37a) and its brackets, and
+# the position offset a + r, stay finite; past it the samplers raise
+# OverflowError rather than compute with inf or NaN.
+_FLOAT_LIMIT = 1e300
 
 
 @dataclass
@@ -98,16 +105,9 @@ def sample_a1(rng: np.random.Generator, size: int | None = None):
     Inverse CDF on the tail P(A_1 >= n) = 2/n: a = floor(2/u).  u = 0 is
     redrawn; float uniforms are >= 2^-53 so the result fits in an int64.
     """
+    u = nonzero_uniform(rng, size)
     if size is None:
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
         return int(2.0 / u)
-    u = rng.random(size)
-    bad = u == 0.0
-    while bad.any():
-        u[bad] = rng.random(int(bad.sum()))
-        bad = u == 0.0
     return np.floor(2.0 / u).astype(np.int64)
 
 
@@ -204,48 +204,83 @@ def _log_r_tail(r, a, x):
     return log_gamma_diff(a - r, x - 1.0) - log_gamma_diff(a + r + x, x - 1.0)
 
 
-def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
-    """Exact draw of the next rank.
+def _invert_rank(r, a, log_u):
+    """Smallest x in [1, a - r] with _log_r_tail(r, a, x + 1) <= log_u, per
+    lane, for float arrays r, a and log_u of one shape.
 
-    Finds the smallest x with tail(x+1) <= u by exponential galloping plus
-    bisection on log-gamma tail evaluations; a u exactly equal to a tail
-    value resolves to the smaller x.  For a <= 1e6 the result is confirmed
-    (and corrected if the log evaluation put the boundary a rounding error
-    off) by the sequential ratio recursion tail(x+1) = tail(x) (a-r-x)/(a+r+x).
+    Guided inversion (Devroye 1986, ch. 2-3).  Each lane starts at the
+    closed-form guess g solving (x - 1)(2r + x) = -a ln u, the point where
+    the tail's leading-order approximation exp(-(x - 1)(2r + x)/a) equals u,
+    clipped to [1, a - r - 1].  One tail evaluation at g picks the direction;
+    steps doubling away from g find a bracket, and bisection closes it.
+    x = a - r needs no evaluation (its tail is 0), so lanes with a - r = 1
+    are never evaluated.  Every evaluation runs on the lanes still open,
+    gathered by index, so the number of evaluations follows how far the
+    guesses miss rather than the width of the support.  Raises OverflowError
+    if some a is above _FLOAT_LIMIT or not a number.
+    """
+    if not np.all(a <= _FLOAT_LIMIT):
+        raise OverflowError(
+            f"position above {_FLOAT_LIMIT:g}: past the floating-point "
+            "continuation of the record chain")
+    max_x = a - r
+    x = np.ones_like(max_x)
+    idx = np.flatnonzero(max_x > 1.0)
+    if not idx.size:
+        return x
+    r, a, log_u, max_x = r[idx], a[idx], log_u[idx], max_x[idx]
+    b = 2.0 * r + 1.0
+    ae = -a * log_u
+    with np.errstate(over="ignore"):  # b * b = inf (r > 6e153) gives g = 1
+        g = np.floor(1.0 + 2.0 * ae / (b + np.sqrt(b * b + 4.0 * ae)))
+    t = np.clip(g, 1.0, max_x - 1.0)  # the point each lane tests
+    lo, hi = np.ones_like(t), max_x  # the answer lies in [lo, hi]
+    cond = down = _log_r_tail(r, a, t + 1.0) <= log_u  # true: gallop down
+    step = np.ones_like(t)  # gallop step, doubled per move; 0 once bisecting
+    while True:
+        hi = np.where(cond, t, hi)
+        # past 2^53, t + 1 can round back to t; nextafter still moves on
+        lo = np.where(cond, lo, np.maximum(t + 1.0, np.nextafter(t, np.inf)))
+        step[cond != down] = 0.0  # the gallop crossed the boundary
+        t = np.where(down, t - step, t + step)
+        step *= 2.0
+        # a lane bisects once its gallop crossed or left the bracket
+        bisect = (step == 0.0) | (t < lo) | (t >= hi)
+        step[bisect] = 0.0
+        mid = np.floor((lo + hi) / 2.0)
+        # adjacent floats past 2^53 can round the midpoint up to hi
+        t = np.where(bisect, np.where(mid >= hi, lo, mid), t)
+        done = lo >= hi
+        if done.any():
+            x[idx[done]] = lo[done]
+            keep = ~done
+            if not keep.any():
+                return x
+            idx, r, a, log_u = idx[keep], r[keep], a[keep], log_u[keep]
+            t, lo, hi, step, down = (t[keep], lo[keep], hi[keep], step[keep],
+                                     down[keep])
+        cond = _log_r_tail(r, a, t + 1.0) <= log_u
+
+
+def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
+    """Exact draw of the next rank: r + x for the smallest x with
+    tail(x+1) <= u, so a u exactly equal to a tail value resolves to the
+    smaller x.  u == 0 is redrawn.
+
+    For a <= 1e6 the support is scanned with the sequential ratio recursion
+    tail(x+1) = tail(x) (a-r-x)/(a+r+x).  Beyond, the guided inversion of
+    _invert_rank runs on one lane with log-gamma tail evaluations; it is
+    exact up to the rounding of the log tail, and past 2^53 it searches
+    over float-representable x only.  A position above 1e300 raises
+    OverflowError.
     """
     r, a = state.r, state.a
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
+    u = nonzero_uniform(rng)
     max_x = a - r
     if max_x == 1:
         return r + 1
 
-    log_u = math.log(u)
-
-    if a <= _VERIFY_LIMIT:
-        # Direct lgamma differences are cheap and accurate to ~1e-9 here;
-        # the sequential recursion below settles any boundary rounding.
-        def pred(x):
-            log_tail = (math.lgamma(a - r) - math.lgamma(a - r - x)
-                        - math.lgamma(a + r + x + 1) + math.lgamma(a + r + 1))
-            return log_tail <= log_u
-    else:
-        def pred(x):
-            return _log_r_tail(float(r), float(a), float(x) + 1.0) <= log_u
-
-    lo, hi = 1, 1
-    while hi < max_x and not pred(hi):
-        lo = hi + 1
-        hi = min(2 * hi, max_x)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-
-    if a <= _VERIFY_LIMIT:
+    if a <= _SCAN_LIMIT:
         tail = 1.0
         x = 1
         while x <= max_x:
@@ -253,26 +288,26 @@ def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
             if tail <= u:
                 break
             x += 1
-        lo = x
-    return r + lo
+        return r + x
+
+    x = _invert_rank(np.array([float(r)]), np.array([float(a)]),
+                     np.array([math.log(u)]))
+    # past 2^53, float(a) - float(r) can round above the exact a - r
+    return r + min(int(x[0]), max_x)
 
 
 def sample_r_next_batch(r, a, rng: np.random.Generator, size: int) -> np.ndarray:
     """Many exact draws of the next rank from one state (r, a).
 
     Precomputes the full tail vector with the same sequential recursion the
-    scalar sampler verifies against, then inverts every uniform with one
+    scalar sampler scans for a <= 1e6, then inverts every uniform with one
     searchsorted.  Ties resolve to the smaller x, matching the scalar path.
     """
     _check_state(r, a)
     if a - r > 10**7:
         raise ValueError("support too wide to tabulate; draw scalars instead")
     tails = r_tail_vector(r, a)  # tails[i] = tail(i+1), decreasing, ends at 0
-    u = rng.random(size)
-    bad = u == 0.0
-    while bad.any():
-        u[bad] = rng.random(int(bad.sum()))
-        bad = u == 0.0
+    u = nonzero_uniform(rng, size)
     x = np.searchsorted(-tails, -u, side="left")
     return r + x.astype(np.int64)
 
@@ -337,15 +372,16 @@ def sample_a_next(state: RAState, r_next, rng: np.random.Generator):
 
     The closed form inverts the tail c/(c+y-1).  Integer inputs give an
     integer result; a draw whose intermediate overflows floating point
-    (u below roughly c/1e308) is redrawn.
+    (u below roughly c/1e308) is redrawn.  A position above 1e300 raises
+    OverflowError.
     """
     _check_rank_step(state, r_next)
     a = state.a
+    if not a <= _FLOAT_LIMIT:
+        raise OverflowError(f"position above {_FLOAT_LIMIT:g}")
     c = a + r_next
     while True:
-        u = rng.random()
-        if u == 0.0:
-            continue
+        u = nonzero_uniform(rng)
         z = float(c) * (1.0 - u) / u
         if math.isfinite(z):
             break
@@ -384,21 +420,9 @@ def sample_path(start: RAState | None, steps: int,
 
 
 def _batch_r_step(r, a, u):
-    """Vectorized bisection for the next rank across many heterogeneous
-    states; all tail evaluations through log-gamma."""
-    max_x = a - r
-    lo = np.ones_like(r)
-    hi = max_x.copy()
-    log_u = np.log(u)
-    while True:
-        open_ = lo < hi
-        if not open_.any():
-            break
-        mid = np.floor((lo + hi) / 2.0)
-        cond = _log_r_tail(r, a, mid + 1.0) <= log_u
-        hi = np.where(open_ & cond, mid, hi)
-        lo = np.where(open_ & ~cond, mid + 1.0, lo)
-    return r + lo
+    """Next ranks across many heterogeneous states (r, a) with uniforms u,
+    by the guided inversion of _invert_rank on log-gamma tails."""
+    return r + _invert_rank(r, a, np.log(u))
 
 
 def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
@@ -408,26 +432,40 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
 
     Intended for statistical verification at scale: state values are floats
     (exact as integers up to 2^53, the double-precision continuation beyond),
-    and the rank step uses the log-gamma bisection throughout.  Per step it
-    draws one uniform array for ranks, then one for positions.
+    and the rank step is the guided inversion on log-gamma tails for every a,
+    with no sequential scan.  Per step it draws one uniform array for ranks,
+    then one for positions.  Uniforms equal to 0 are redrawn, and so is every
+    position uniform whose offset c(1-u)/u overflows, as in sample_a_next.
+    A position above 1e300, at the start or after some step, raises
+    OverflowError; ln A grows by about 1 per step, so from a small start
+    that takes about 690 steps.
     """
     r0, a0 = start
     if a0 - r0 < 1:
         raise ValueError("need a - r >= 1 at the start")
+    if not a0 <= _FLOAT_LIMIT:
+        raise OverflowError(f"start position above {_FLOAT_LIMIT:g}")
     r = np.full(num_paths, float(r0))
     a = np.full(num_paths, float(a0))
     R = np.empty((steps + 1, num_paths))
     A = np.empty((steps + 1, num_paths))
     R[0], A[0] = r, a
     for i in range(1, steps + 1):
-        u1 = rng.random(num_paths)
-        u1[u1 == 0.0] = 0.5
-        r = _batch_r_step(r, a, u1)
-        u2 = rng.random(num_paths)
-        u2[u2 == 0.0] = 0.5
+        r = _batch_r_step(r, a, nonzero_uniform(rng, num_paths))
         c = a + r
-        y = np.floor(np.minimum(c * (1.0 - u2) / u2, 1e300)) + 1.0
-        a = a + y
+        u = nonzero_uniform(rng, num_paths)
+        with np.errstate(over="ignore"):
+            z = c * (1.0 - u) / u
+            bad = ~np.isfinite(z)
+            while bad.any():
+                u = nonzero_uniform(rng, int(bad.sum()))
+                z[bad] = c[bad] * (1.0 - u) / u
+                bad = ~np.isfinite(z)
+            a = a + (np.floor(z) + 1.0)
+        if not np.all(a <= _FLOAT_LIMIT):
+            raise OverflowError(
+                f"a position passed {_FLOAT_LIMIT:g} at step {i}: past the "
+                "floating-point continuation of the record chain")
         R[i], A[i] = r, a
     return R, A
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["stream", "exp_inverse"]
+__all__ = ["stream", "nonzero_uniform", "exp_inverse"]
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -25,21 +25,34 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def exp_inverse(rng: np.random.Generator, size: int | tuple | None = None):
-    """Standard exponential draws by inversion, -ln(u).
+def nonzero_uniform(rng: np.random.Generator, size: int | tuple | None = None):
+    """Uniforms on (0, 1): random() draws with every 0.0 redrawn.
 
-    Inversion is used instead of the generator's ziggurat so that a given
-    stream reproduces the same values on any platform.  u == 0.0 (possible
-    since random() covers [0, 1)) is redrawn.
+    The one rule for the zero that random() can return (probability 2^-53
+    per draw): inversions that take a log of u or divide by it redraw it,
+    never substitute a value.  A scalar call returns a Python float.
     """
     if size is None:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        return -math.log(u)
+        return u
     u = rng.random(size)
     bad = u == 0.0
     while bad.any():
         u[bad] = rng.random(int(bad.sum()))
         bad = u == 0.0
+    return u
+
+
+def exp_inverse(rng: np.random.Generator, size: int | tuple | None = None):
+    """Standard exponential draws by inversion, -ln(u).
+
+    Inversion is used instead of the generator's ziggurat so that a given
+    stream reproduces the same values on any platform.  u is drawn by
+    nonzero_uniform, so u == 0.0 is redrawn.
+    """
+    u = nonzero_uniform(rng, size)
+    if size is None:
+        return -math.log(u)
     return -np.log(u)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import aldous, kingman, limit_chain, ra_chain
 from .stats import chi2_gof, chi2_two_sample, ks_one_sample, ks_two_sample, tv_distance
-from .streams import exp_inverse, stream
+from .streams import exp_inverse, nonzero_uniform, stream
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "json_report",
            "CRITERIA"]
@@ -313,8 +313,7 @@ def _chain_joint_chunk(rng, size, c) -> np.ndarray:
         sel = np.flatnonzero(a1 == a_val)
         if sel.size:
             r2[sel] = ra_chain.sample_r_next_batch(1, a_val, rng, sel.size)
-    u = rng.random(size)
-    u[u == 0.0] = 0.5
+    u = nonzero_uniform(rng, size)
     keep = (a1 >= 2) & (a1 <= _JOINT_CAP)
     c_arr = (a1 + r2).astype(float)
     y = np.floor(c_arr * (1.0 - u) / u).astype(np.int64) + 1

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from seqcoal import ra_chain
 from seqcoal.cli import main
 
 
@@ -54,6 +55,16 @@ def test_ra_sample_burn_in(capsys):
     lines = out.splitlines()
     assert len(lines) == 1 + 3  # indices 4..6
     assert lines[1].split(",")[1] == "4"
+
+
+def test_ra_sample_overflow_exits_two(capsys, monkeypatch):
+    # the float continuation stops at ra_chain._FLOAT_LIMIT (1e300, reached
+    # after about 690 steps); a low limit reaches the same exit in a few
+    monkeypatch.setattr(ra_chain, "_FLOAT_LIMIT", 1e6)
+    rc, out, err = run_cli(capsys, "ra-sample", "--paths", "2", "--steps", "60")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: a position passed 1e+06 at step")
 
 
 def test_ra_extract_csv(capsys):

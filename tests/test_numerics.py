@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats as sp_stats
 
+from seqcoal import numerics
 from seqcoal.numerics import chi2_sf, kolmogorov_sf, log_gamma_diff
 from seqcoal.streams import exp_inverse, stream
 
@@ -60,6 +61,39 @@ def test_log_gamma_diff_array_and_scalar_agree():
     assert arr.shape == (3,)
     for i in range(3):
         assert arr[i] == log_gamma_diff(float(z[i]), float(m[i]))
+
+
+def _both_branches(z, m):
+    """Both branches on every element, then a pick per element: the
+    evaluation log_gamma_diff must reproduce bit for bit."""
+    rest = z - m
+    safe_z, safe_rest = np.maximum(z, 1.0), np.maximum(rest, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = special.gammaln(z) - special.gammaln(rest)
+        paired = (m * np.log(safe_z) - (safe_rest - 0.5) * np.log1p(-m / safe_z)
+                  - m + numerics._bernoulli_tail(safe_z)
+                  - numerics._bernoulli_tail(safe_rest))
+    cut = numerics._STIRLING_CUTOFF
+    return np.where((rest >= cut) & (z >= cut), paired, direct)
+
+
+def test_log_gamma_diff_mixed_branches_at_cutoff():
+    cut = numerics._STIRLING_CUTOFF
+    z = np.array([cut - 1.0, cut, cut, cut + 1.0, cut + 1.0, cut + 40.0,
+                  2.0 * cut, 12.0, cut, cut + 3.0])
+    m = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 40.0, 40.0, 11.0, cut, cut + 3.0])
+    rest = z - m
+    paired = (rest >= cut) & (z >= cut)
+    assert paired.any() and not paired.all()
+    got = log_gamma_diff(z, m)
+    assert np.array_equal(got, _both_branches(z, m))
+    for i in range(z.size):
+        assert got[i] == log_gamma_diff(float(z[i]), float(m[i]))
+    # z - m = 0 gives the direct branch's -inf, the log of a zero tail
+    assert np.isneginf(got[-2:]).all()
+    for zi, mi, gi in zip(z[:-2], m[:-2], got[:-2]):
+        want = math.fsum(math.log(zi - j) for j in range(1, int(mi) + 1))
+        assert gi == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_log_gamma_diff_zero_m_is_zero():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seqcoal import ra_chain
+from seqcoal.numerics import log_gamma_diff
 from seqcoal.ra_chain import (EXACT_LIMIT, RAPath, RAState, a_pmf, a_pmf_exact,
                               a_tail, a_tail_exact, path_to_csv, r_pmf,
                               r_pmf_exact, r_pmf_vector, r_tail, r_tail_exact,
@@ -15,7 +16,7 @@ from seqcoal.ra_chain import (EXACT_LIMIT, RAPath, RAState, a_pmf, a_pmf_exact,
                               sample_r_next_batch, step, urn_oracle_a,
                               urn_oracle_r)
 from seqcoal.stats import chi2_gof
-from seqcoal.streams import stream
+from seqcoal.streams import exp_inverse, nonzero_uniform, stream
 
 
 class ScriptedRNG:
@@ -54,6 +55,13 @@ def test_sample_a1_inversion_and_zero_redraw():
     assert sample_a1(ScriptedRNG([0.25])) == 8
     assert sample_a1(ScriptedRNG([0.0, 0.5])) == 4
     assert sample_a1(ScriptedRNG([0.9])) == 2
+
+
+def test_nonzero_uniform_redraws_zeros():
+    assert nonzero_uniform(ScriptedRNG([0.0, 0.0, 0.25])) == 0.25
+    got = nonzero_uniform(ScriptedRNG([0.5, 0.0, 0.75, 0.0, 0.0, 0.125]), 3)
+    assert got.tolist() == [0.5, 0.125, 0.75]
+    assert exp_inverse(ScriptedRNG([0.0, 0.5])) == -math.log(0.5)
 
 
 def test_sample_a1_array():
@@ -165,6 +173,90 @@ def test_sample_r_next_boundary_resolution():
     assert sample_r_next(RAState(1, 3), ScriptedRNG([0.21])) == 2
     # forced transition when only one rank is reachable
     assert sample_r_next(RAState(1, 2), ScriptedRNG([0.77])) == 2
+
+
+def _reference_inversion(r, a, log_u):
+    """Plain lockstep bisection over the whole support [1, a - r]: the
+    smallest x with log tail(x+1) <= log u, every lane every iteration."""
+    lo = np.ones_like(r)
+    hi = a - r
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = np.floor((lo + hi) / 2.0)
+        cond = ra_chain._log_r_tail(r, a, mid + 1.0) <= log_u
+        hi = np.where(open_ & cond, mid, hi)
+        lo = np.where(open_ & ~cond, mid + 1.0, lo)
+
+
+def test_guided_inversion_matches_reference_bisection():
+    rng = stream(27, 0)
+    n = 12_000
+    a = np.floor(10.0 ** rng.uniform(np.log10(2.0), 12.0, n))
+    # ranks log-uniform on [1, a - 1], plus the two ends of that range
+    r = np.clip(np.floor(a ** rng.uniform(0.0, 1.0, n)), 1.0, a - 1.0)
+    r[:400] = a[:400] - 1.0  # a - r = 1: forced, never evaluated
+    r[400:800] = 1.0
+    log_u = np.log(rng.random(n))
+    got = ra_chain._invert_rank(r, a, log_u)
+    want = _reference_inversion(r, a, log_u)
+    assert np.array_equal(got, want)
+    assert np.all(got[:400] == 1.0)
+
+
+def test_guided_inversion_evaluates_few_points(monkeypatch):
+    calls = []
+
+    def counted(z, m):
+        calls.append(np.size(z))
+        return log_gamma_diff(z, m)
+
+    rng = stream(27, 1)
+    n = 2000
+    a = np.floor(10.0 ** rng.uniform(9.0, 12.0, n))
+    r = np.floor(np.sqrt(a * rng.exponential(1.0, n))) + 1.0
+    u = rng.random(n)
+    monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
+    got = ra_chain._batch_r_step(r, a, u)
+    monkeypatch.undo()
+    assert np.array_equal(got - r, _reference_inversion(r, a, np.log(u)))
+    # two log_gamma_diff calls per tail evaluation; a bisection over the
+    # support would take about 40 evaluations of every lane here
+    assert len(calls) <= 2 * 8
+    assert sum(calls) <= 2 * 3 * n
+
+
+def _boundary_cases(mp):
+    """(r, a, x, u) with u just above the exact tail(x+1), so the draw is
+    r + x, and (r, a, x + 1, u) with u just below it, so the draw is
+    r + x + 1.  The margin is half the log gap to the neighbouring tail."""
+
+    def log_tail(r, a, k):
+        return (mp.loggamma(a - r) - mp.loggamma(a - r - k + 1)
+                - mp.loggamma(a + r + k) + mp.loggamma(a + r + 1))
+
+    cases = []
+    for a in (10**7, 10**10, 10**12):
+        for r in (1, math.isqrt(a)):
+            for target in (0.9, 0.5, 0.05):
+                e = -a * math.log(target)
+                x = int((1 - 2 * r + math.sqrt((2 * r + 1) ** 2 + 4 * e)) / 2)
+                ell = [log_tail(r, a, k) for k in (x, x + 1, x + 2)]
+                delta = min(ell[0] - ell[1], ell[1] - ell[2]) / 2
+                cases.append((r, a, x, float(mp.exp(ell[1] + delta))))
+                cases.append((r, a, x + 1, float(mp.exp(ell[1] - delta))))
+    return cases
+
+
+def test_boundary_draws_against_mpmath_tails():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        cases = _boundary_cases(mpmath.mp)
+    for r, a, x, u in cases:
+        assert sample_r_next(RAState(r, a), ScriptedRNG([u])) == r + x
+    r, a, x, u = (np.array(col, dtype=float) for col in zip(*cases))
+    assert np.array_equal(ra_chain._batch_r_step(r, a, u), r + x)
 
 
 def test_sample_r_next_batch_matches_scalar_stream():
@@ -314,6 +406,56 @@ def test_sample_paths_batch_shapes_and_invariants():
     assert np.all(A - R >= 1)
     with pytest.raises(ValueError):
         sample_paths_batch(4, 3, stream(25, 2), start=(2, 2))
+
+
+def test_sample_paths_batch_redraws_like_scalar_samplers():
+    # u == 0 is redrawn for ranks and positions alike, lane by lane
+    R, A = sample_paths_batch(2, 1, ScriptedRNG([0.5, 0.0, 0.5, 0.5, 0.0, 0.5]),
+                              start=(1, 3))
+    assert R[1].tolist() == [2.0, 2.0]
+    assert A[1].tolist() == [9.0, 9.0]
+    # a position uniform whose offset c(1-u)/u overflows (here a subnormal
+    # u) is redrawn, as in sample_a_next, rather than clamped
+    assert sample_a_next(RAState(1, 3), 2, ScriptedRNG([5e-324, 0.5])) == 9
+    R, A = sample_paths_batch(2, 1, ScriptedRNG([0.5, 0.5, 5e-324, 0.5, 0.5]),
+                              start=(1, 3))
+    assert A[1].tolist() == [9.0, 9.0]
+
+
+def test_guided_inversion_terminates_past_two_to_the_53():
+    # answers beyond 2^53, where x + 1 can round back to x
+    rng = stream(27, 2)
+    a = 10.0 ** rng.uniform(33.0, 40.0, 200)
+    r = np.floor(np.sqrt(a) * rng.uniform(0.0, 2.0, 200)) + 1.0
+    x = ra_chain._invert_rank(r, a, np.log(rng.random(200)))
+    assert np.all((x >= 1.0) & (x <= a - r))
+    assert np.median(x) > 2.0**53
+
+
+def test_float_continuation_stops_at_its_limit():
+    # up to a = 1e300 the kernel finishes, also from the smallest u and with
+    # ranks so large that (2r + 1)^2 overflows and the guess falls back to 1
+    a = np.full(3, 1e300)
+    r = np.array([1.0, 1e200, 5e299])
+    x = ra_chain._invert_rank(r, a, np.full(3, math.log(2.0**-53)))
+    assert np.all((x >= 1.0) & (x <= a - r))
+    # past it -a ln u or the position offset would overflow, and inf or NaN
+    # would keep the search open forever; every sampler raises instead
+    tiny = [2.0**-53]
+    for big in (1e307, math.inf, math.nan):
+        with pytest.raises(OverflowError):
+            ra_chain._invert_rank(np.ones(1), np.array([big]),
+                                  np.log(np.array(tiny)))
+        with pytest.raises(OverflowError):
+            sample_r_next(RAState(1.0, big, False), ScriptedRNG(tiny))
+        # a NaN position fails the rank check (ValueError) before this one
+        with pytest.raises(OverflowError if big == big else ValueError):
+            sample_a_next(RAState(1.0, big, False), 2.0, ScriptedRNG(tiny))
+    with pytest.raises(OverflowError):
+        sample_paths_batch(4, 3, stream(27, 3), start=(1, 1e307))
+    # ln A grows by about 1 per step, so from 1e290 the limit comes soon
+    with pytest.raises(OverflowError, match="passed 1e\\+300 at step"):
+        sample_paths_batch(4, 200, stream(27, 3), start=(1, 1e290))
 
 
 def test_path_csv_header():
