@@ -28,7 +28,6 @@ __all__ = [
     "identify_ra",
     "match_rank_to_individual",
     "batch_first_record",
-    "field_to_csv",
 ]
 
 _STICK = 0
@@ -310,23 +309,3 @@ def batch_first_record(replicates: int, rng: np.random.Generator,
     found = flipped.any(axis=1)
     first = flipped.argmax(axis=1)
     return np.where(found, first + 1, 0).astype(np.int64)
-
-
-def field_to_csv(field: StickField, num_sticks: int, num_individuals: int, *,
-                 include_heights: bool = False) -> str:
-    field.ensure_sticks(num_sticks)
-    field.ensure_individuals(num_individuals)
-    if include_heights:
-        lines = ["kind,index,location,height"]
-        for j in range(1, num_sticks + 1):
-            lines.append(
-                f"stick,{j},{field.stick_location(j)!r},{field.stick_height(j)!r}")
-        for i in range(1, num_individuals + 1):
-            lines.append(f"individual,{i},{field.individual_location(i)!r},")
-    else:
-        lines = ["kind,index,location"]
-        for j in range(1, num_sticks + 1):
-            lines.append(f"stick,{j},{field.stick_location(j)!r}")
-        for i in range(1, num_individuals + 1):
-            lines.append(f"individual,{i},{field.individual_location(i)!r}")
-    return "\n".join(lines) + "\n"

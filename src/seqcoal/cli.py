@@ -36,8 +36,18 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
+def _write(args, header: str, rows: list, payload) -> int:
+    """Write the CSV header and rows, or with --format json the payload as
+    canonical JSON, to stdout or --out."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    else:
+        _emit("\n".join([header] + rows) + "\n", args.out)
+    return 0
+
+
 def _cmd_simulate(args) -> int:
-    rows = ["replicate,event_index,time,block_a,block_b"]
+    rows = []
     payload = []
     for rep in range(args.replicates):
         traj = kingman.simulate_kingman(args.n, stream(args.seed, _NS_SIMULATE, rep))
@@ -47,15 +57,11 @@ def _cmd_simulate(args) -> int:
             events.append({"time": ev.time, "block_a": ev.block_a,
                            "block_b": ev.block_b})
         payload.append({"replicate": rep, "n": args.n, "events": events})
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return _write(args, "replicate,event_index,time,block_a,block_b", rows, payload)
 
 
 def _cmd_pebls(args) -> int:
-    rows = ["replicate,individual,length"]
+    rows = []
     payload = []
     for rep in range(args.replicates):
         pebls, _ = kingman.build_pebls(args.n, stream(args.seed, _NS_PEBLS, rep))
@@ -64,17 +70,13 @@ def _cmd_pebls(args) -> int:
         payload.append({"replicate": rep,
                         "lengths": {str(i): pebls.length_of(i)
                                     for i in range(2, pebls.n_max + 1)}})
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return _write(args, "replicate,individual,length", rows, payload)
 
 
 def _format_state(v: float) -> str:
     if v <= _FLOAT_EXACT_LIMIT:
         return str(int(v))
-    return repr(v)
+    return repr(float(v))
 
 
 def _cmd_ra_sample(args) -> int:
@@ -84,7 +86,7 @@ def _cmd_ra_sample(args) -> int:
         sys.stderr.write(
             "note: some positions passed the exact integer range and continue "
             "in double precision (flagged continuation)\n")
-    rows = ["path,i,R,A"]
+    rows = []
     payload = []
     for p in range(args.paths):
         states = []
@@ -93,15 +95,11 @@ def _cmd_ra_sample(args) -> int:
             states.append([float(R[i, p]), float(A[i, p])])
         payload.append({"path": p, "first_index": args.burn_in + 1,
                         "states": states})
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return _write(args, "path,i,R,A", rows, payload)
 
 
 def _cmd_ra_extract(args) -> int:
-    rows = ["replicate,i,R,A"]
+    rows = []
     payload = []
     for rep in range(args.replicates):
         field = aldous.StickField(stream(args.seed, _NS_RA_EXTRACT, rep))
@@ -110,11 +108,7 @@ def _cmd_ra_extract(args) -> int:
             rows.append(f"{rep},{i},{st.r},{st.a}")
         payload.append({"replicate": rep,
                         "pairs": [[st.r, st.a] for st in pairs]})
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return _write(args, "replicate,i,R,A", rows, payload)
 
 
 def _cmd_limit(args) -> int:
@@ -124,18 +118,14 @@ def _cmd_limit(args) -> int:
     for _ in range(args.steps):
         xi = limit_chain.sample_limit_batch(history[-1], rng)
         history.append(xi)
-    rows = ["path,i,xi"]
+    rows = []
     payload = []
     for p in range(args.paths):
         series = [float(history[i][p]) for i in range(args.burn_in, args.steps + 1)]
         for off, v in enumerate(series):
             rows.append(f"{p},{args.burn_in + off},{v!r}")
         payload.append({"path": p, "first_index": args.burn_in, "xi": series})
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return _write(args, "path,i,xi", rows, payload)
 
 
 def _cmd_wn(args) -> int:
@@ -143,20 +133,14 @@ def _cmd_wn(args) -> int:
     pmf = law.pmf_float()
     s_grid = np.linspace(0.2, 2.0, 181)
     s_kept, rel = limit_chain.wn_local_limit_error(args.n, s_grid)
-    if args.format == "json":
-        payload = {"n": args.n,
-                   "pmf": [float(p) for p in pmf],
-                   "local_limit_s": [float(s) for s in s_kept],
-                   "local_limit_rel_err": [float(e) for e in rel]}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-        return 0
-    rows = ["kind,index,value"]
-    for k, p in enumerate(pmf):
-        rows.append(f"pmf,{k},{float(p)!r}")
-    for s, e in zip(s_kept, rel):
-        rows.append(f"local_limit,{float(s)!r},{float(e)!r}")
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    payload = {"n": args.n,
+               "pmf": [float(p) for p in pmf],
+               "local_limit_s": [float(s) for s in s_kept],
+               "local_limit_rel_err": [float(e) for e in rel]}
+    rows = [f"pmf,{k},{p!r}" for k, p in enumerate(payload["pmf"])]
+    rows += [f"local_limit,{s!r},{e!r}" for s, e in
+             zip(payload["local_limit_s"], payload["local_limit_rel_err"])]
+    return _write(args, "kind,index,value", rows, payload)
 
 
 def _cmd_pmf(args) -> int:
@@ -173,15 +157,11 @@ def _cmd_pmf(args) -> int:
         probs = np.array([ra_chain.a_pmf(prior, args.r, y)
                           for y in range(1, args.cutoff + 1)])
         first = 1
-    if args.format == "json":
-        payload = {"kind": args.kind, "r": args.r, "a": args.a,
-                   "first_offset": first,
-                   "probs": [float(p) for p in probs]}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-        return 0
-    rows = ["x,prob"] + [f"{first + i},{float(p)!r}" for i, p in enumerate(probs)]
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    payload = {"kind": args.kind, "r": args.r, "a": args.a,
+               "first_offset": first,
+               "probs": [float(p) for p in probs]}
+    rows = [f"{first + i},{p!r}" for i, p in enumerate(payload["probs"])]
+    return _write(args, "x,prob", rows, payload)
 
 
 def _cmd_verify(args) -> int:

@@ -10,9 +10,8 @@ length sequence from which the whole trajectory can be rebuilt.
 
 from __future__ import annotations
 
-import io
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "time_to_mrca",
     "cumulative_hazard",
     "invert_cumulative_hazard",
-    "trajectory_to_csv",
-    "pebls_to_csv",
 ]
 
 
@@ -74,42 +71,15 @@ class TrajectoryEvent:
     block_b: int
 
 
-class _UnionFind:
-    """Union by size with path compression; roots relabelled to block minima."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.min_label = list(range(n + 1))
-        self.size = [1] * (n + 1)
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def label(self, i: int) -> int:
-        return self.min_label[self.find(i)]
-
-    def union(self, i: int, j: int) -> tuple:
-        """Merge the blocks containing i and j; returns their prior labels."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            raise ValueError("merging a block with itself")
-        la, lb = self.min_label[ri], self.min_label[rj]
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-        self.min_label[ri] = min(la, lb)
-        return (la, lb) if la < lb else (lb, la)
-
-
 @dataclass
 class Trajectory:
-    """Merge history over individuals 1..n; complete once n - 1 events exist."""
+    """Merge history over individuals 1..n; complete once n - 1 events exist.
+
+    Blocks are labelled by their minima, so a merge (a, b) with a < b leaves
+    label a alive and retires label b.  Constructing a trajectory validates
+    its events; the builders of this module skip that, since their output is
+    valid by construction.
+    """
 
     n: int
     events: list = field(default_factory=list)
@@ -123,17 +93,18 @@ class Trajectory:
         if len(self.events) > self.n - 1:
             raise ValueError("more events than a coalescent of this size allows")
         last = 0.0
-        uf = _UnionFind(self.n)
+        live = set(range(1, self.n + 1))
         for ev in self.events:
             if not (ev.time > last):
                 raise ValueError("event times must be strictly increasing")
             if not math.isfinite(ev.time):
                 raise ValueError("non-finite event time")
             last = ev.time
-            # Raises if labels are not current block minima of distinct blocks.
-            if uf.label(ev.block_a) != ev.block_a or uf.label(ev.block_b) != ev.block_b:
+            if not ev.block_a < ev.block_b:
+                raise ValueError("event labels must satisfy block_a < block_b")
+            if ev.block_a not in live or ev.block_b not in live:
                 raise ValueError("event labels are not current block minima")
-            uf.union(ev.block_a, ev.block_b)
+            live.remove(ev.block_b)
 
     @property
     def is_complete(self) -> bool:
@@ -149,15 +120,20 @@ class Trajectory:
 
     def partition_at(self, t: float) -> Partition:
         """Partition at time t; a merge at exactly t has already happened."""
-        uf = _UnionFind(self.n)
+        members = {i: [i] for i in range(1, self.n + 1)}
         for ev in self.events:
             if ev.time > t:
                 break
-            uf.union(ev.block_a, ev.block_b)
-        groups = {}
-        for i in range(1, self.n + 1):
-            groups.setdefault(uf.find(i), []).append(i)
-        return Partition(self.n, [frozenset(g) for g in groups.values()])
+            members[ev.block_a] += members.pop(ev.block_b)
+        return Partition(self.n, [frozenset(g) for g in members.values()])
+
+
+def _built(n: int, events: list) -> Trajectory:
+    """A trajectory from this module's builders, whose events are valid by
+    construction; skips `validate`."""
+    traj = object.__new__(Trajectory)
+    traj.n, traj.events = n, events
+    return traj
 
 
 @dataclass
@@ -197,8 +173,7 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
     """
     if n < 1:
         raise ValueError("need at least one individual")
-    uf = _UnionFind(n)
-    roots = list(range(1, n + 1))  # current block labels, ascending
+    roots = list(range(1, n + 1))  # live block labels, ascending
     t = 0.0
     events = []
     for b in range(n, 1, -1):
@@ -211,10 +186,11 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
         j = int(rng.integers(b - 1))
         if j >= i:
             j += 1
-        la, lb = uf.union(roots[i], roots[j])
-        events.append(TrajectoryEvent(t, la, lb))
-        roots.remove(lb)
-    return Trajectory(n, events)
+        if j < i:
+            i, j = j, i
+        events.append(TrajectoryEvent(t, roots[i], roots[j]))
+        del roots[j]
+    return _built(n, events)
 
 
 def cumulative_hazard(traj: Trajectory, t: float) -> float:
@@ -276,22 +252,16 @@ def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
         if length not in existing:
             break
 
-    uf = _UnionFind(traj.n)
-    count = traj.n
-    for ev in traj.events:
-        if ev.time >= length:
-            break
-        uf.union(ev.block_a, ev.block_b)
-        count -= 1
-    pick = int(rng.integers(count))
-    labels = sorted({uf.label(i) for i in range(1, traj.n + 1)})
-    chosen = labels[pick]
+    # the blocks alive just before L: every earlier merge retired its block_b
+    pos = bisect_left(times, length)
+    retired = {ev.block_b for ev in traj.events[:pos]}
+    labels = [i for i in range(1, traj.n + 1) if i not in retired]
+    chosen = labels[int(rng.integers(len(labels)))]
 
     newcomer = traj.n + 1
-    pos = bisect_left(times, length)
     events = list(traj.events)
     events.insert(pos, TrajectoryEvent(length, chosen, newcomer))
-    return length, Trajectory(newcomer, events)
+    return length, _built(newcomer, events)
 
 
 def build_pebls(n_max: int, rng: np.random.Generator) -> tuple:
@@ -299,7 +269,7 @@ def build_pebls(n_max: int, rng: np.random.Generator) -> tuple:
     length of each added individual.  Returns (length sequence, trajectory)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    traj = Trajectory(1, [])
+    traj = _built(1, [])
     lengths = []
     for _ in range(1, n_max):
         length, traj = extend_recursive(traj, rng)
@@ -312,28 +282,20 @@ def reconstruct_from_pebls(pebls: PeblsSequence,
     """Rebuild a trajectory from per-individual lengths alone.
 
     Individual n merges at its length L_n into the cluster of an eligible
-    partner j < n chosen uniformly among those with L_j >= L_n (individual 1
+    partner j < n chosen uniformly among those with L_j > L_n (individual 1
     always qualifies).  Replaying the merges in time order yields a valid
     trajectory: just before L_n both n and its partner still head distinct
-    clusters, because each individual leaves its own cluster only at its own
-    length and the partner's length is at least L_n.
+    clusters, because each individual heads its cluster until its own length
+    and the partner's length exceeds L_n.  So the event is (L_n, partner, n).
     """
-    n_max = pebls.n_max
-    if n_max == 1:
-        return Trajectory(1, [])
-    merges = []
-    for n in range(2, n_max + 1):
+    events = []
+    for n in range(2, pebls.n_max + 1):
         ln = pebls.length_of(n)
         eligible = [1] + [i for i in range(2, n) if pebls.length_of(i) > ln]
         partner = eligible[int(rng.integers(len(eligible)))]
-        merges.append((ln, n, partner))
-    merges.sort()
-    uf = _UnionFind(n_max)
-    events = []
-    for when, n, partner in merges:
-        la, lb = uf.union(n, partner)
-        events.append(TrajectoryEvent(when, la, lb))
-    return Trajectory(n_max, events)
+        events.append(TrajectoryEvent(ln, partner, n))
+    events.sort(key=lambda ev: ev.time)
+    return _built(pebls.n_max, events)
 
 
 def time_to_mrca(traj: Trajectory) -> float:
@@ -343,19 +305,3 @@ def time_to_mrca(traj: Trajectory) -> float:
     if traj.n == 1:
         return 0.0
     return traj.events[-1].time
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    out = io.StringIO()
-    out.write("event_index,time,block_a,block_b\n")
-    for i, ev in enumerate(traj.events):
-        out.write(f"{i},{ev.time!r},{ev.block_a},{ev.block_b}\n")
-    return out.getvalue()
-
-
-def pebls_to_csv(pebls: PeblsSequence) -> str:
-    out = io.StringIO()
-    out.write("individual,length\n")
-    for n in range(2, pebls.n_max + 1):
-        out.write(f"{n},{pebls.length_of(n)!r}\n")
-    return out.getvalue()

@@ -1,11 +1,11 @@
-"""Shared numerical kernels: stable log-gamma differences and tail probabilities."""
+"""Shared numerical kernel: stable log-gamma differences."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaln
 
-__all__ = ["log_gamma_diff", "kolmogorov_sf", "chi2_sf"]
+__all__ = ["log_gamma_diff"]
 
 # Below this, gammaln(z) is small enough that direct subtraction keeps
 # absolute error near 1e-9; above it the paired Stirling form is used.
@@ -67,29 +67,3 @@ def log_gamma_diff(z, m):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the Kolmogorov distribution.
-
-    Asymptotic alternating series 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lam^2),
-    truncated at 100 terms.  For lam small enough that 100 terms have not
-    converged the value is indistinguishable from 1 at the tolerances used
-    here; the result is clamped to [0, 1].
-    """
-    if lam <= 0.0:
-        return 1.0
-    k = np.arange(1, 101)
-    terms = np.exp(-2.0 * (k * lam) ** 2)
-    total = 2.0 * float(np.sum(terms * np.where(k % 2 == 1, 1.0, -1.0)))
-    return min(1.0, max(0.0, total))
-
-
-def chi2_sf(statistic: float, df: int) -> float:
-    """Upper tail of the chi-square distribution via the regularized
-    upper incomplete gamma function."""
-    if df <= 0:
-        raise ValueError("chi2_sf needs df >= 1")
-    if statistic <= 0.0:
-        return 1.0
-    return float(gammaincc(df / 2.0, statistic / 2.0))

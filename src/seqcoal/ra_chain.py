@@ -45,7 +45,6 @@ __all__ = [
     "sample_paths_batch",
     "urn_oracle_r",
     "urn_oracle_a",
-    "path_to_csv",
 ]
 
 # States are kept in exact integer arithmetic up to this bound (the unsigned
@@ -521,10 +520,3 @@ def urn_oracle_a(state: RAState, r_next, y_cutoff: int, *,
         probs.append(surviving * Fraction(1, total))
         surviving *= Fraction(total - 1, total)
     return probs, surviving
-
-
-def path_to_csv(path: RAPath) -> str:
-    lines = ["i,R,A,lnA"]
-    for i, s in enumerate(path.states, start=1):
-        lines.append(f"{i},{s.r},{s.a},{math.log(s.a)!r}")
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqcoal.aldous import (StickField, batch_first_record, field_to_csv,
+from seqcoal.aldous import (StickField, batch_first_record,
                             identify_lineage_rank, identify_ra,
                             match_rank_to_individual, partition_at,
                             sample_stick_field)
@@ -384,15 +384,3 @@ def test_extract_records_matches_planted_chain():
     truth = [(st.r, st.a) for st in chain]
     assert ext.valid >= 2
     assert ext.pairs[:ext.valid] == truth[:ext.valid]
-
-
-def test_field_to_csv_headers():
-    field = StickField(stream(19, 0), height_tol=1e-3)
-    plain = field_to_csv(field, 3, 4).splitlines()
-    assert plain[0] == "kind,index,location"
-    assert len(plain) == 1 + 3 + 4
-    assert plain[1].startswith("stick,1,")
-    withh = field_to_csv(field, 3, 4, include_heights=True).splitlines()
-    assert withh[0] == "kind,index,location,height"
-    assert withh[4].startswith("individual,1,")
-    assert withh[4].endswith(",")

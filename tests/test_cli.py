@@ -1,6 +1,7 @@
 """Command-line behaviour: headers, determinism, exit codes, JSON shape."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -47,6 +48,18 @@ def test_ra_sample_csv(capsys):
     assert lines[0] == "path,i,R,A"
     assert len(lines) == 1 + 3 * 6
     assert lines[1] == "0,1,1,2"
+
+
+def test_ra_sample_states_are_plain_numbers(capsys):
+    # at the default size some positions pass 2**53 and are written as floats
+    rc, out, _ = run_cli(capsys, "ra-sample", "--seed", "0")
+    assert rc == 0
+    assert "np." not in out
+    rows = [ln.split(",") for ln in out.splitlines()[1:]]
+    assert len(rows) == 100 * 31
+    values = [float(v) for row in rows for v in row[2:]]
+    assert max(values) > 2.0**53
+    assert all(math.isfinite(v) for v in values)
 
 
 def test_ra_sample_burn_in(capsys):

@@ -1,5 +1,6 @@
 """Coalescent trajectories, hazard inversion, and the sequential construction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from seqcoal.kingman import (Partition, PeblsSequence, Trajectory,
                              TrajectoryEvent, build_pebls, cumulative_hazard,
                              extend_recursive, invert_cumulative_hazard,
-                             pebls_to_csv, reconstruct_from_pebls,
-                             simulate_kingman, time_to_mrca, trajectory_to_csv)
+                             reconstruct_from_pebls, simulate_kingman,
+                             time_to_mrca)
 from seqcoal.stats import ks_one_sample
 from seqcoal.streams import stream
 
@@ -139,13 +140,53 @@ def test_reconstruct_preserves_lengths_and_mrca():
     assert time_to_mrca(rebuilt) == time_to_mrca(built)
 
 
-def test_csv_formats():
-    pebls, traj = build_pebls(4, stream(11, 0))
-    tcsv = trajectory_to_csv(traj).splitlines()
-    assert tcsv[0] == "event_index,time,block_a,block_b"
-    assert len(tcsv) == 4  # header + 3 events
-    pcsv = pebls_to_csv(pebls).splitlines()
-    assert pcsv[0] == "individual,length"
-    assert pcsv[1].startswith("2,")
-    # repr round-trips doubles exactly
-    assert float(pcsv[1].split(",")[1]) == pebls.length_of(2)
+def test_trajectory_rejects_bad_labels():
+    # label 0 lies outside 1..n: with it the one event would leave 2 blocks
+    with pytest.raises(ValueError):
+        Trajectory(2, [TrajectoryEvent(1.0, 0, 1)])
+    # label n + 1 lies outside 1..n
+    with pytest.raises(ValueError):
+        Trajectory(2, [TrajectoryEvent(1.0, 1, 3)])
+    # block_a must be the smaller label
+    with pytest.raises(ValueError):
+        Trajectory(2, [TrajectoryEvent(1.0, 2, 1)])
+    # a block cannot merge with itself
+    with pytest.raises(ValueError):
+        Trajectory(2, [TrajectoryEvent(1.0, 1, 1)])
+    traj = Trajectory(3, [TrajectoryEvent(0.5, 2, 3), TrajectoryEvent(1.0, 1, 2)])
+    assert traj.is_complete
+    assert traj.partition_at(0.7).blocks == [frozenset({1}), frozenset({2, 3})]
+    assert len(traj.partition_at(1.0)) == 1
+
+
+def _builder_outputs(n, seed):
+    direct = simulate_kingman(n, stream(31, n, seed, 0))
+    pebls, built = build_pebls(n, stream(31, n, seed, 1))
+    rebuilt = reconstruct_from_pebls(pebls, stream(31, n, seed, 2))
+    _, extended = extend_recursive(direct, stream(31, n, seed, 3))
+    return direct, built, rebuilt, extended
+
+
+@pytest.mark.parametrize("n,seeds", [(1, 50), (2, 300), (3, 300), (10, 300),
+                                     (160, 10)])
+def test_builder_outputs_validate(n, seeds):
+    # the builders skip validate(); their outputs must pass it all the same
+    for seed in range(seeds):
+        for traj in _builder_outputs(n, seed):
+            traj.validate()
+            assert traj.is_complete
+            end = traj.events[-1].time if traj.events else 0.0
+            assert len(traj.partition_at(end)) == 1
+
+
+def test_builder_events_pinned():
+    # sha256 of every event of the four builders at fixed seeds: any change
+    # to a draw, a time or a label breaks it
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 10, 160):
+        for seed in range(3):
+            for traj in _builder_outputs(n, seed):
+                for ev in traj.events:
+                    h.update(f"{ev.time.hex()},{ev.block_a},{ev.block_b};".encode())
+    assert h.hexdigest() == (
+        "f6046adca4048722080dd0d7db4e5a809eeaa55da7f7c0407dbf0ec58542f926")

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats as sp_stats
+from scipy import special
 
 from seqcoal import numerics
-from seqcoal.numerics import chi2_sf, kolmogorov_sf, log_gamma_diff
+from seqcoal.numerics import log_gamma_diff
 from seqcoal.streams import exp_inverse, stream
 
 
@@ -98,27 +98,3 @@ def test_log_gamma_diff_mixed_branches_at_cutoff():
 
 def test_log_gamma_diff_zero_m_is_zero():
     assert log_gamma_diff(4.0e6, 0.0) == 0.0
-
-
-def test_kolmogorov_sf_against_scipy():
-    for lam in [0.3, 0.5, 0.8284, 1.0, 1.5, 2.5]:
-        assert kolmogorov_sf(lam) == pytest.approx(
-            float(special.kolmogorov(lam)), rel=1e-10, abs=1e-14)
-
-
-def test_kolmogorov_sf_edges():
-    assert kolmogorov_sf(0.0) == 1.0
-    assert kolmogorov_sf(-1.0) == 1.0
-    assert kolmogorov_sf(10.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_chi2_sf_against_scipy():
-    for stat, df in [(0.5, 1), (3.0, 2), (10.0, 7), (55.0, 40)]:
-        assert chi2_sf(stat, df) == pytest.approx(
-            float(sp_stats.chi2.sf(stat, df)), rel=1e-10)
-
-
-def test_chi2_sf_edges():
-    assert chi2_sf(0.0, 5) == 1.0
-    with pytest.raises(ValueError):
-        chi2_sf(1.0, 0)

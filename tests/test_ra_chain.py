@@ -9,7 +9,7 @@ import pytest
 from seqcoal import ra_chain
 from seqcoal.numerics import log_gamma_diff
 from seqcoal.ra_chain import (EXACT_LIMIT, RAPath, RAState, a_pmf, a_pmf_exact,
-                              a_tail, a_tail_exact, path_to_csv, r_pmf,
+                              a_tail, a_tail_exact, r_pmf,
                               r_pmf_exact, r_pmf_vector, r_tail, r_tail_exact,
                               r_tail_vector, sample_a1, sample_a_next,
                               sample_path, sample_paths_batch, sample_r_next,
@@ -456,14 +456,6 @@ def test_float_continuation_stops_at_its_limit():
     # ln A grows by about 1 per step, so from 1e290 the limit comes soon
     with pytest.raises(OverflowError, match="passed 1e\\+300 at step"):
         sample_paths_batch(4, 200, stream(27, 3), start=(1, 1e290))
-
-
-def test_path_csv_header():
-    path = sample_path(RAState(1, 2), 3, stream(26, 0))
-    lines = path_to_csv(path).splitlines()
-    assert lines[0] == "i,R,A,lnA"
-    assert lines[1].startswith("1,1,2,")
-    assert float(lines[1].split(",")[3]) == math.log(2.0)
 
 
 def test_exact_limit_is_unsigned_128_bit_bound():

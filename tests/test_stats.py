@@ -45,6 +45,14 @@ def test_ks_one_sample_callable_reference():
     assert rep.passed
 
 
+def test_ks_one_sample_uniform_grid_reads_one():
+    # the grid (i + 1/2)/n has D = 1/(2n), so the Kolmogorov argument is
+    # about 1/(2 sqrt(n)), where the survival function rounds to 1
+    n = 10**6
+    rep = ks_one_sample((np.arange(n) + 0.5) / n, "uniform01")
+    assert rep.p_value == 1.0
+
+
 def test_ks_one_sample_unknown_name():
     with pytest.raises(ValueError):
         ks_one_sample([0.5], "cauchy")
