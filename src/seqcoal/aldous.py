@@ -30,10 +30,6 @@ __all__ = [
     "batch_first_record",
 ]
 
-_STICK = 0
-_INDIVIDUAL = 1
-
-
 def _height_count(tol: float) -> int:
     """Number of stick heights to materialize so that truncating the
     infinite sum leaves a zero-mean remainder with standard deviation
@@ -156,6 +152,20 @@ def partition_at(field: StickField, t: float, n: int) -> Partition:
     return Partition(n, [frozenset(b) for b in regions.values()])
 
 
+def _interval_bounds(separators: list, loc: float) -> tuple:
+    """Ends of the interval of the sorted separators that holds loc; the
+    ends of the unit interval stand in where loc has no separator."""
+    i = bisect_right(separators, loc)
+    lo = separators[i - 1] if i > 0 else 0.0
+    hi = separators[i] if i < len(separators) else 1.0
+    return lo, hi
+
+
+def _crowded(sorted_locs: list, lo: float, hi: float) -> bool:
+    """Some location lies strictly between lo and hi."""
+    return bisect_left(sorted_locs, hi) > bisect_right(sorted_locs, lo)
+
+
 def identify_lineage_rank(field: StickField, n: int, *,
                           max_rank: int | None = None) -> int:
     """Rank of individual n's lineage when it arrives: the smallest k such
@@ -173,47 +183,8 @@ def identify_lineage_rank(field: StickField, n: int, *,
         if max_rank is not None and k > max_rank:
             raise RuntimeError(f"not resolved within {max_rank} sticks")
         insort(sticks, field.stick_location(k))
-        i = bisect_left(sticks, target)
-        lo = sticks[i - 1] if i > 0 else 0.0
-        hi = sticks[i] if i < len(sticks) else 1.0
-        if bisect_left(others, hi) == bisect_right(others, lo):
+        if not _crowded(others, *_interval_bounds(sticks, target)):
             return k
-
-
-class _PlantingBoard:
-    """Interleaved positions of everything planted so far, in location order."""
-
-    def __init__(self, field: StickField):
-        self.field = field
-        self.locations: list = []
-        self.kinds: list = []
-        self.n_sticks = 0
-        self.n_individuals = 0
-
-    def _insert(self, loc: float, kind: int):
-        i = bisect_left(self.locations, loc)
-        self.locations.insert(i, loc)
-        self.kinds.insert(i, kind)
-
-    def plant_stick(self) -> float:
-        self.n_sticks += 1
-        loc = self.field.stick_location(self.n_sticks)
-        self._insert(loc, _STICK)
-        return loc
-
-    def plant_individual(self) -> float:
-        self.n_individuals += 1
-        loc = self.field.individual_location(self.n_individuals)
-        self._insert(loc, _INDIVIDUAL)
-        return loc
-
-    def flanked_by_individuals(self, loc: float) -> bool:
-        """Both immediate neighbors of the item at loc are individuals.
-        The interval boundary counts as not an individual."""
-        i = bisect_left(self.locations, loc)
-        if i == 0 or self.kinds[i - 1] != _INDIVIDUAL:
-            return False
-        return i + 1 < len(self.locations) and self.kinds[i + 1] == _INDIVIDUAL
 
 
 def identify_ra(field: StickField, max_pairs: int, *,
@@ -229,35 +200,31 @@ def identify_ra(field: StickField, max_pairs: int, *,
     """
     if max_pairs < 1:
         raise ValueError("need max_pairs >= 1")
-    board = _PlantingBoard(field)
+    sticks: list = []  # planted stick locations, sorted
+    individuals: list = []  # planted individual locations, sorted
     pairs: list = []
-    anchor = board.plant_stick()
     while len(pairs) < max_pairs:
-        while not board.flanked_by_individuals(anchor):
-            if max_individuals is not None and board.n_individuals >= max_individuals:
-                return pairs
-            board.plant_individual()
-        pairs.append(RAState(board.n_sticks, board.n_individuals))
-        if len(pairs) == max_pairs:
-            break
         while True:
-            if max_sticks is not None and board.n_sticks >= max_sticks:
+            if sticks and max_sticks is not None and len(sticks) >= max_sticks:
                 return pairs
-            anchor = board.plant_stick()
-            if not board.flanked_by_individuals(anchor):
+            anchor = field.stick_location(len(sticks) + 1)
+            lo, hi = _interval_bounds(sticks, anchor)
+            insort(sticks, anchor)
+            left = _crowded(individuals, lo, anchor)
+            right = _crowded(individuals, anchor, hi)
+            if not (left and right):
                 break
+        # no stick is planted during the hunt, so lo and hi stay the
+        # anchor's neighbours
+        while not (left and right):
+            if max_individuals is not None and len(individuals) >= max_individuals:
+                return pairs
+            loc = field.individual_location(len(individuals) + 1)
+            insort(individuals, loc)
+            left = left or lo < loc < anchor
+            right = right or anchor < loc < hi
+        pairs.append(RAState(len(sticks), len(individuals)))
     return pairs
-
-
-def _interval_bounds(separators: list, loc: float) -> tuple:
-    i = bisect_right(separators, loc)
-    lo = separators[i - 1] if i > 0 else 0.0
-    hi = separators[i] if i < len(separators) else 1.0
-    return lo, hi
-
-
-def _crowded(sorted_locs: list, lo: float, hi: float) -> bool:
-    return bisect_left(sorted_locs, hi) > bisect_right(sorted_locs, lo)
 
 
 def match_rank_to_individual(field: StickField, rank: int, *,

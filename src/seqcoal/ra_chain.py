@@ -72,10 +72,7 @@ class RAState:
     exact: bool = True
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("rank must be >= 1")
-        if self.a - self.r < 1:
-            raise ValueError("need a - r >= 1")
+        _check_state(self.r, self.a)
 
 
 @dataclass
@@ -418,12 +415,6 @@ def sample_path(start: RAState | None, steps: int,
     return RAPath(states)
 
 
-def _batch_r_step(r, a, u):
-    """Next ranks across many heterogeneous states (r, a) with uniforms u,
-    by the guided inversion of _invert_rank on log-gamma tails."""
-    return r + _invert_rank(r, a, np.log(u))
-
-
 def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
                        start=(1, 2)):
     """Advance many record paths in lockstep; returns (R, A) float arrays of
@@ -450,7 +441,7 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     A = np.empty((steps + 1, num_paths))
     R[0], A[0] = r, a
     for i in range(1, steps + 1):
-        r = _batch_r_step(r, a, nonzero_uniform(rng, num_paths))
+        r = r + _invert_rank(r, a, np.log(nonzero_uniform(rng, num_paths)))
         c = a + r
         u = nonzero_uniform(rng, num_paths)
         with np.errstate(over="ignore"):

@@ -243,6 +243,76 @@ def test_identify_ra_invariant_under_order_remap():
     assert identify_ra(twin, 4, max_individuals=3000, max_sticks=3000) == pairs
 
 
+def _planted_pairs(sticks, individuals, max_pairs):
+    """The record chain from its definition, with no incremental state: after
+    every planting, sort all planted (location, kind) items and ask whether
+    the newest stick has an individual as both immediate neighbours.  Plants
+    only the given positions and returns the pairs found before running out
+    (the caps of identify_ra)."""
+    ns, ni = 1, 0
+
+    def flanked():
+        items = sorted([(x, "stick") for x in sticks[:ns]]
+                       + [(x, "individual") for x in individuals[:ni]])
+        j = items.index((sticks[ns - 1], "stick"))
+        return (0 < j < len(items) - 1 and items[j - 1][1] == "individual"
+                and items[j + 1][1] == "individual")
+
+    pairs = []
+    while True:
+        while not flanked():
+            if ni == len(individuals):
+                return pairs
+            ni += 1
+        pairs.append((ns, ni))
+        if len(pairs) == max_pairs:
+            return pairs
+        while flanked():
+            if ns == len(sticks):
+                return pairs
+            ns += 1
+
+
+def test_identify_ra_hand_field():
+    # stick 1 at 0.5 is closed on the left by individual 1 and on the right
+    # by individual 3: (1, 3).  Stick 2 at 0.25 is flanked by individuals 2
+    # (0.2) and 1 (0.3), so stick 3 at 0.6 anchors the next hunt; its right
+    # side already holds individual 3 (0.7), and individual 6 (0.55) closes
+    # its left: (3, 6).  Stick 4 at 0.95 has individuals 3 and 4 on its
+    # left, and individual 8 (0.97) closes its right: (4, 8).  Stick 5 at
+    # 0.15 is flanked by individuals 5 (0.1) and 2 (0.2), and no sixth
+    # stick is given.
+    sticks = [0.5, 0.25, 0.6, 0.95, 0.15]
+    individuals = [0.3, 0.2, 0.7, 0.9, 0.1, 0.55, 0.4, 0.97]
+    want = [(1, 3), (3, 6), (4, 8)]
+
+    def read(max_pairs, max_individuals=8):
+        field = _inject(StickField(stream(19, 0)), sticks, individuals)
+        pairs = identify_ra(field, max_pairs, max_individuals=max_individuals,
+                            max_sticks=5)
+        return [(st.r, st.a) for st in pairs]
+
+    assert read(10) == want
+    assert read(2) == want[:2]
+    assert read(10, max_individuals=7) == want[:2]
+    assert read(10, max_individuals=2) == []
+    assert _planted_pairs(sticks, individuals, 10) == want
+    assert _planted_pairs(sticks, individuals[:7], 10) == want[:2]
+
+
+def test_identify_ra_against_sorted_board():
+    cap = 64
+    for i in range(300):
+        field = StickField(stream(19, i + 1))
+        field.ensure_sticks(cap)
+        field.ensure_individuals(cap)
+        max_pairs = 1 + i % 5
+        want = _planted_pairs(field._sticks, field._individuals, max_pairs)
+        got = identify_ra(field, max_pairs, max_individuals=cap,
+                          max_sticks=cap)
+        assert [(st.r, st.a) for st in got] == want
+
+
 def test_identify_ra_first_position_law():
     reps = 20_000
     counts = np.zeros(20, dtype=np.int64)  # positions 2..20 plus tail

@@ -218,9 +218,9 @@ def test_guided_inversion_evaluates_few_points(monkeypatch):
     r = np.floor(np.sqrt(a * rng.exponential(1.0, n))) + 1.0
     u = rng.random(n)
     monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
-    got = ra_chain._batch_r_step(r, a, u)
+    got = ra_chain._invert_rank(r, a, np.log(u))
     monkeypatch.undo()
-    assert np.array_equal(got - r, _reference_inversion(r, a, np.log(u)))
+    assert np.array_equal(got, _reference_inversion(r, a, np.log(u)))
     # two log_gamma_diff calls per tail evaluation; a bisection over the
     # support would take about 40 evaluations of every lane here
     assert len(calls) <= 2 * 8
@@ -256,7 +256,7 @@ def test_boundary_draws_against_mpmath_tails():
     for r, a, x, u in cases:
         assert sample_r_next(RAState(r, a), ScriptedRNG([u])) == r + x
     r, a, x, u = (np.array(col, dtype=float) for col in zip(*cases))
-    assert np.array_equal(ra_chain._batch_r_step(r, a, u), r + x)
+    assert np.array_equal(ra_chain._invert_rank(r, a, np.log(u)), x)
 
 
 def test_sample_r_next_batch_matches_scalar_stream():
