@@ -9,6 +9,7 @@ artifacts go to stdout or --out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -65,18 +66,18 @@ def _cmd_pebls(args) -> int:
     payload = []
     for rep in range(args.replicates):
         pebls, _ = kingman.build_pebls(args.n, stream(args.seed, _NS_PEBLS, rep))
-        for i in range(2, pebls.n_max + 1):
-            rows.append(f"{rep},{i},{pebls.length_of(i)!r}")
+        for i, v in enumerate(pebls.lengths, start=2):
+            rows.append(f"{rep},{i},{v!r}")
         payload.append({"replicate": rep,
-                        "lengths": {str(i): pebls.length_of(i)
-                                    for i in range(2, pebls.n_max + 1)}})
+                        "lengths": {str(i): v for i, v in
+                                    enumerate(pebls.lengths, start=2)}})
     return _write(args, "replicate,individual,length", rows, payload)
 
 
 def _format_state(v: float) -> str:
     if v <= _FLOAT_EXACT_LIMIT:
         return str(int(v))
-    return repr(float(v))
+    return repr(v)
 
 
 def _cmd_ra_sample(args) -> int:
@@ -86,15 +87,15 @@ def _cmd_ra_sample(args) -> int:
         sys.stderr.write(
             "note: some positions passed the exact integer range and continue "
             "in double precision (flagged continuation)\n")
+    kept = np.arange(args.burn_in, args.steps + 1)
+    R, A = R[kept].T.tolist(), A[kept].T.tolist()
     rows = []
     payload = []
     for p in range(args.paths):
-        states = []
-        for i in range(args.burn_in, args.steps + 1):
-            rows.append(f"{p},{i + 1},{_format_state(R[i, p])},{_format_state(A[i, p])}")
-            states.append([float(R[i, p]), float(A[i, p])])
+        for i, r, a in zip(range(args.burn_in + 1, args.steps + 2), R[p], A[p]):
+            rows.append(f"{p},{i},{_format_state(r)},{_format_state(a)}")
         payload.append({"path": p, "first_index": args.burn_in + 1,
-                        "states": states})
+                        "states": [[r, a] for r, a in zip(R[p], A[p])]})
     return _write(args, "path,i,R,A", rows, payload)
 
 
@@ -118,10 +119,10 @@ def _cmd_limit(args) -> int:
     for _ in range(args.steps):
         xi = limit_chain.sample_limit_batch(history[-1], rng)
         history.append(xi)
+    kept = np.stack(history)[np.arange(args.burn_in, args.steps + 1)].T.tolist()
     rows = []
     payload = []
-    for p in range(args.paths):
-        series = [float(history[i][p]) for i in range(args.burn_in, args.steps + 1)]
+    for p, series in enumerate(kept):
         for off, v in enumerate(series):
             rows.append(f"{p},{args.burn_in + off},{v!r}")
         payload.append({"path": p, "first_index": args.burn_in, "xi": series})
@@ -250,9 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OverflowError, OSError) as exc:

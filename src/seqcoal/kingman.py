@@ -128,12 +128,12 @@ class Trajectory:
         return Partition(self.n, [frozenset(g) for g in members.values()])
 
 
-def _built(n: int, events: list) -> Trajectory:
-    """A trajectory from this module's builders, whose events are valid by
-    construction; skips `validate`."""
-    traj = object.__new__(Trajectory)
-    traj.n, traj.events = n, events
-    return traj
+def _trusted(cls, **fields):
+    """A Trajectory or PeblsSequence from this module's builders, valid by
+    construction; skips the checks that construction runs."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass
@@ -190,7 +190,28 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
             i, j = j, i
         events.append(TrajectoryEvent(t, roots[i], roots[j]))
         del roots[j]
-    return _built(n, events)
+    return _trusted(Trajectory, n=n, events=events)
+
+
+def _hazard_scan(times: list, n: int, target: float) -> tuple:
+    """(hazard, time, slope) at the start of the first linear segment of the
+    cumulative hazard, for n individuals and sorted event times, whose end
+    reaches target; past the last event the slope is 1."""
+    total, prev, count = 0.0, 0.0, n
+    for t in times:
+        seg = count * (t - prev)
+        if total + seg >= target:
+            break
+        total += seg
+        prev = t
+        count -= 1
+    return total, prev, count
+
+
+def _invert_hazard(times: list, n: int, target: float) -> float:
+    """Time at which the cumulative hazard reaches target > 0."""
+    total, prev, count = _hazard_scan(times, n, target)
+    return prev + (target - total) / count
 
 
 def cumulative_hazard(traj: Trajectory, t: float) -> float:
@@ -199,15 +220,9 @@ def cumulative_hazard(traj: Trajectory, t: float) -> float:
         raise ValueError("trajectory is not complete")
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    total = 0.0
-    prev = 0.0
-    count = traj.n
-    for ev in traj.events:
-        if ev.time >= t:
-            break
-        total += count * (ev.time - prev)
-        prev = ev.time
-        count -= 1
+    times = traj.event_times()
+    times = times[:bisect_left(times, t)]
+    total, prev, count = _hazard_scan(times, traj.n, math.inf)
     return total + count * (t - prev)
 
 
@@ -222,17 +237,29 @@ def invert_cumulative_hazard(traj: Trajectory, target: float) -> float:
         raise ValueError("trajectory is not complete")
     if not (target > 0.0 and math.isfinite(target)):
         raise ValueError("target must be positive and finite")
-    total = 0.0
-    prev = 0.0
-    count = traj.n
-    for ev in traj.events:
-        seg = count * (ev.time - prev)
-        if total + seg >= target:
-            return prev + (target - total) / count
-        total += seg
-        prev = ev.time
-        count -= 1
-    return prev + (target - total)  # final slope is exactly 1
+    return _invert_hazard(traj.event_times(), traj.n, target)
+
+
+def _add_individual(times: list, block_a: list, block_b: list, n: int,
+                    rng: np.random.Generator) -> int:
+    """The step of extend_recursive on a complete n-individual trajectory
+    held in parallel lists sorted by event time, done in place.  Returns the
+    index of the new event.  Each merge before L retired its block_b, so the
+    k-th live label is k + 1 stepped past the retired labels up to it."""
+    while True:
+        length = _invert_hazard(times, n, exp_inverse(rng))
+        pos = bisect_left(times, length)
+        if pos == len(times) or times[pos] != length:
+            break
+    label = int(rng.integers(n - pos)) + 1
+    for b in sorted(block_b[:pos]):
+        if b > label:
+            break
+        label += 1
+    times.insert(pos, length)
+    block_a.insert(pos, label)
+    block_b.insert(pos, n + 1)
+    return pos
 
 
 def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
@@ -245,36 +272,27 @@ def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
     """
     if not traj.is_complete:
         raise ValueError("trajectory is not complete")
-    times = traj.event_times()
-    existing = set(times)
-    while True:
-        length = invert_cumulative_hazard(traj, exp_inverse(rng))
-        if length not in existing:
-            break
-
-    # the blocks alive just before L: every earlier merge retired its block_b
-    pos = bisect_left(times, length)
-    retired = {ev.block_b for ev in traj.events[:pos]}
-    labels = [i for i in range(1, traj.n + 1) if i not in retired]
-    chosen = labels[int(rng.integers(len(labels)))]
-
-    newcomer = traj.n + 1
     events = list(traj.events)
-    events.insert(pos, TrajectoryEvent(length, chosen, newcomer))
-    return length, _built(newcomer, events)
+    times = [ev.time for ev in events]
+    block_a = [ev.block_a for ev in events]
+    block_b = [ev.block_b for ev in events]
+    pos = _add_individual(times, block_a, block_b, traj.n, rng)
+    events.insert(pos, TrajectoryEvent(times[pos], block_a[pos], block_b[pos]))
+    return times[pos], _trusted(Trajectory, n=traj.n + 1, events=events)
 
 
 def build_pebls(n_max: int, rng: np.random.Generator) -> tuple:
     """Grow a trajectory from a single individual up to n_max, collecting the
-    length of each added individual.  Returns (length sequence, trajectory)."""
+    length of each added individual.  Returns (length sequence, trajectory).
+    Runs the step of extend_recursive on its own lists."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    traj = _built(1, [])
-    lengths = []
-    for _ in range(1, n_max):
-        length, traj = extend_recursive(traj, rng)
-        lengths.append(length)
-    return PeblsSequence(n_max, lengths), traj
+    times, block_a, block_b, lengths = [], [], [], []
+    for n in range(1, n_max):
+        lengths.append(times[_add_individual(times, block_a, block_b, n, rng)])
+    events = list(map(TrajectoryEvent, times, block_a, block_b))
+    return (_trusted(PeblsSequence, n_max=n_max, lengths=lengths),
+            _trusted(Trajectory, n=n_max, events=events))
 
 
 def reconstruct_from_pebls(pebls: PeblsSequence,
@@ -290,12 +308,13 @@ def reconstruct_from_pebls(pebls: PeblsSequence,
     """
     events = []
     for n in range(2, pebls.n_max + 1):
-        ln = pebls.length_of(n)
-        eligible = [1] + [i for i in range(2, n) if pebls.length_of(i) > ln]
+        ln = pebls.lengths[n - 2]
+        eligible = [1] + [i for i, v in zip(range(2, n), pebls.lengths)
+                          if v > ln]
         partner = eligible[int(rng.integers(len(eligible)))]
         events.append(TrajectoryEvent(ln, partner, n))
     events.sort(key=lambda ev: ev.time)
-    return _built(pebls.n_max, events)
+    return _trusted(Trajectory, n=pebls.n_max, events=events)
 
 
 def time_to_mrca(traj: Trajectory) -> float:

@@ -267,8 +267,8 @@ def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
     tail(x+1) = tail(x) (a-r-x)/(a+r+x).  Beyond, the guided inversion of
     _invert_rank runs on one lane with log-gamma tail evaluations; it is
     exact up to the rounding of the log tail, and past 2^53 it searches
-    over float-representable x only.  A position above 1e300 raises
-    OverflowError.
+    over float-representable x only.  A position above 1e300, or a float
+    rank that r + x rounds back to r, raises OverflowError.
     """
     r, a = state.r, state.a
     u = nonzero_uniform(rng)
@@ -289,7 +289,12 @@ def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
     x = _invert_rank(np.array([float(r)]), np.array([float(a)]),
                      np.array([math.log(u)]))
     # past 2^53, float(a) - float(r) can round above the exact a - r
-    return r + min(int(x[0]), max_x)
+    r_next = r + min(int(x[0]), max_x)
+    if r_next == r:
+        raise OverflowError(
+            f"the rank stalled at {r:g}: r + x rounds back to r in the "
+            "floating-point continuation of the record chain")
+    return r_next
 
 
 def sample_r_next_batch(r, a, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -427,8 +432,10 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     then one for positions.  Uniforms equal to 0 are redrawn, and so is every
     position uniform whose offset c(1-u)/u overflows, as in sample_a_next.
     A position above 1e300, at the start or after some step, raises
-    OverflowError; ln A grows by about 1 per step, so from a small start
-    that takes about 690 steps.
+    OverflowError, and so does a step at which some lane's rank stalls,
+    r + x rounding back to r.  From a small start a stall comes first: ln A
+    grows by about 1 per step, and stalls begin near a = 1e41, some 80
+    steps in, where 1e300 would take about 690 steps.
     """
     r0, a0 = start
     if a0 - r0 < 1:
@@ -441,7 +448,12 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     A = np.empty((steps + 1, num_paths))
     R[0], A[0] = r, a
     for i in range(1, steps + 1):
-        r = r + _invert_rank(r, a, np.log(nonzero_uniform(rng, num_paths)))
+        r_next = r + _invert_rank(r, a, np.log(nonzero_uniform(rng, num_paths)))
+        if np.any(r_next == r):
+            raise OverflowError(
+                f"a rank stalled at step {i}: r + x rounds back to r in the "
+                "floating-point continuation of the record chain")
+        r = r_next
         c = a + r
         u = nonzero_uniform(rng, num_paths)
         with np.errstate(over="ignore"):

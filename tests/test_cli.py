@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seqcoal import ra_chain
+from seqcoal import cli, ra_chain
 from seqcoal.cli import main
 
 
@@ -78,6 +78,29 @@ def test_ra_sample_overflow_exits_two(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: a position passed 1e+06 at step")
+
+
+def test_ra_sample_stalled_rank_exits_two(capsys):
+    # past 2^53 a rank can round back to itself; the chain stops there
+    rc, out, err = run_cli(capsys, "ra-sample", "--paths", "20", "--steps", "200")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: a rank stalled at step")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # main reuses one parser; a call's flags must not leak into the next
+    alone = []
+    for argv in (["pebls", "--n", "6"], ["pebls"]):
+        cli._parser.cache_clear()
+        alone.append(run_cli(capsys, *argv)[1])
+    cli._parser.cache_clear()
+    in_a_row = [run_cli(capsys, "pebls", "--n", "6")[1],
+                run_cli(capsys, "pebls")[1]]
+    assert in_a_row == alone
+    assert len(alone[0].splitlines()) == 1 + 5
+    assert len(alone[1].splitlines()) == 1 + 9
+    assert cli._parser() is cli._parser()
 
 
 def test_ra_extract_csv(capsys):

@@ -77,6 +77,20 @@ def test_cumulative_hazard_round_trip():
         cumulative_hazard(Trajectory(2, []), 1.0)
 
 
+def test_inversion_at_an_event_returns_its_time():
+    # with dyadic times the arithmetic is exact: hazard 1.5 at t = 0.5 and
+    # 3.5 at t = 1.5; a target equal to the hazard at an event is inverted
+    # on the segment that ends there (the scan stops at total + seg >= target)
+    traj = Trajectory(3, [TrajectoryEvent(0.5, 1, 2), TrajectoryEvent(1.5, 1, 3)])
+    for t in traj.event_times():
+        target = cumulative_hazard(traj, t)
+        assert invert_cumulative_hazard(traj, target) == t
+        assert invert_cumulative_hazard(traj, math.nextafter(target, 0.0)) < t
+        assert invert_cumulative_hazard(traj, math.nextafter(target, 9.0)) > t
+    assert cumulative_hazard(traj, 0.5) == 1.5
+    assert cumulative_hazard(traj, 1.5) == 3.5
+
+
 def test_extend_recursive_grows_by_one():
     traj = simulate_kingman(5, stream(5, 0))
     length, bigger = extend_recursive(traj, stream(5, 1))
@@ -125,6 +139,22 @@ def test_build_pebls_mrca_is_largest_length():
     assert {ev.time for ev in traj.events} == set(pebls.lengths)
 
 
+@pytest.mark.parametrize("n", [2, 10, 160])
+def test_build_pebls_is_repeated_extension(n):
+    # build_pebls runs the step of extend_recursive on its own lists: on the
+    # same stream, n - 1 extensions from one individual give the same draws
+    pebls, built = build_pebls(n, stream(32, n))
+    rng = stream(32, n)
+    traj = Trajectory(1, [])
+    lengths = []
+    for _ in range(n - 1):
+        length, traj = extend_recursive(traj, rng)
+        lengths.append(length)
+    assert pebls.lengths == lengths
+    assert built.n == traj.n == n
+    assert built.events == traj.events
+
+
 def test_reconstruct_two_individuals_is_forced():
     pebls = PeblsSequence(2, [0.7])
     traj = reconstruct_from_pebls(pebls, stream(9, 0))
@@ -170,13 +200,16 @@ def _builder_outputs(n, seed):
 @pytest.mark.parametrize("n,seeds", [(1, 50), (2, 300), (3, 300), (10, 300),
                                      (160, 10)])
 def test_builder_outputs_validate(n, seeds):
-    # the builders skip validate(); their outputs must pass it all the same
+    # the builders skip validate() and the length checks; their outputs must
+    # pass them all the same
     for seed in range(seeds):
         for traj in _builder_outputs(n, seed):
             traj.validate()
             assert traj.is_complete
             end = traj.events[-1].time if traj.events else 0.0
             assert len(traj.partition_at(end)) == 1
+        pebls, _ = build_pebls(n, stream(31, n, seed, 1))
+        PeblsSequence(pebls.n_max, list(pebls.lengths))
 
 
 def test_builder_events_pinned():

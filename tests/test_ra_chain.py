@@ -432,7 +432,7 @@ def test_guided_inversion_terminates_past_two_to_the_53():
     assert np.median(x) > 2.0**53
 
 
-def test_float_continuation_stops_at_its_limit():
+def test_float_continuation_stops_at_its_limit(monkeypatch):
     # up to a = 1e300 the kernel finishes, also from the smallest u and with
     # ranks so large that (2r + 1)^2 overflows and the guess falls back to 1
     a = np.full(3, 1e300)
@@ -453,9 +453,29 @@ def test_float_continuation_stops_at_its_limit():
             sample_a_next(RAState(1.0, big, False), 2.0, ScriptedRNG(tiny))
     with pytest.raises(OverflowError):
         sample_paths_batch(4, 3, stream(27, 3), start=(1, 1e307))
-    # ln A grows by about 1 per step, so from 1e290 the limit comes soon
-    with pytest.raises(OverflowError, match="passed 1e\\+300 at step"):
+    # from 1e290 a rank stalls (at step 2) before a passes 1e300 (step 21)
+    with pytest.raises(OverflowError, match="rank stalled at step 2:"):
         sample_paths_batch(4, 200, stream(27, 3), start=(1, 1e290))
+    # so the check after each step is reached below the stalls, with a low
+    # limit; ln A grows by about 1 per step
+    monkeypatch.setattr(ra_chain, "_FLOAT_LIMIT", 1e20)
+    with pytest.raises(OverflowError, match="passed 1e\\+20 at step"):
+        sample_paths_batch(4, 200, stream(27, 3))
+
+
+def test_stalled_rank_raises():
+    # past 2^53 the continuation can return an x with r + x == r; the chain
+    # stops there instead of repeating R
+    with pytest.raises(OverflowError, match="rank stalled at step 91:"):
+        sample_paths_batch(20, 200, stream(3, 0))
+    # every step before the stall raises the rank on every lane
+    R, _ = sample_paths_batch(20, 90, stream(3, 0))
+    assert np.all(np.diff(R, axis=0) > 0.0)
+    assert R.max() > 2.0**53
+    with pytest.raises(OverflowError, match="rank stalled at"):
+        sample_path(RAState(1, 2), 2000, stream(3, 0))
+    with pytest.raises(OverflowError, match="rank stalled at"):
+        sample_r_next(RAState(1e40, 1e42, False), ScriptedRNG([0.5]))
 
 
 def test_exact_limit_is_unsigned_128_bit_bound():
