@@ -30,6 +30,11 @@ __all__ = [
     "batch_first_record",
 ]
 
+# positions drawn per generator call; even, so a value's index in its block
+# has the parity of its stream position
+_BLOCK = 64
+
+
 def _height_count(tol: float) -> int:
     """Number of stick heights to materialize so that truncating the
     infinite sum leaves a zero-mean remainder with standard deviation
@@ -40,39 +45,65 @@ def _height_count(tol: float) -> int:
 class StickField:
     """Lazily grown field of stick and individual positions with heights.
 
-    Positions come from two child streams of the generator handed in (one
-    per kind, a third for heights), so asking for more sticks never shifts
-    the individuals.  Exact position collisions, which would make interval
-    adjacency ambiguous, are redrawn.
+    The field owns the generator handed in and draws its positions from it
+    in blocks of uniforms.  Even stream positions are sticks and odd ones
+    are individuals: on a collision-free stream, stick j is value 2(j-1)
+    and individual i is value 2i-1.  A value equal to 0.0 or to any
+    earlier value of the stream, which would make interval adjacency
+    ambiguous, is skipped, and later values keep their parity.  Whether a
+    value is kept depends only on the values before it in the stream, so
+    the positions do not depend on the order in which sticks and
+    individuals are requested.  Heights come from one child of the
+    generator, spawned when they are first needed.
     """
 
     def __init__(self, rng: np.random.Generator, *, height_tol: float = 1e-9):
         if not 0.0 < height_tol <= 1e-2:
             raise ValueError("height_tol out of range")
-        stick_rng, indiv_rng, height_rng = rng.spawn(3)
-        self._stick_rng = stick_rng
-        self._indiv_rng = indiv_rng
-        self._height_rng = height_rng
+        self._rng = rng
         self.height_tol = float(height_tol)
         self._sticks: list = []
         self._individuals: list = []
+        # every kept value of each kind in stream order; _sticks and
+        # _individuals hold the prefixes that were requested
+        self._kept_sticks: list = []
+        self._kept_individuals: list = []
+        # 0.0 and every value drawn so far; a skipped value repeats one
         self._taken: set = {0.0}
         self._heights: np.ndarray | None = None
 
-    def _draw(self, rng) -> float:
-        while True:
-            x = rng.random()
-            if x not in self._taken:
-                self._taken.add(x)
-                return x
+    def _draw_block(self):
+        vals = self._rng.random(_BLOCK).tolist()
+        taken = self._taken
+        size = len(taken)
+        taken.update(vals)
+        if len(taken) - size == _BLOCK:
+            self._kept_sticks += vals[0::2]
+            self._kept_individuals += vals[1::2]
+            return
+        # A zero or a repeat.  The update has already added the block, so
+        # rebuild the set from the values kept before it and replay the
+        # block one value at a time.
+        taken.clear()
+        taken.add(0.0)
+        taken.update(self._kept_sticks, self._kept_individuals)
+        for k, x in enumerate(vals):
+            if x not in taken:
+                taken.add(x)
+                kept = self._kept_individuals if k % 2 else self._kept_sticks
+                kept.append(x)
+
+    def _take(self, out: list, kept: list, count: int):
+        if count > len(out):
+            while len(kept) < count:
+                self._draw_block()
+            out += kept[len(out):count]
 
     def ensure_sticks(self, m: int):
-        while len(self._sticks) < m:
-            self._sticks.append(self._draw(self._stick_rng))
+        self._take(self._sticks, self._kept_sticks, m)
 
     def ensure_individuals(self, n: int):
-        while len(self._individuals) < n:
-            self._individuals.append(self._draw(self._indiv_rng))
+        self._take(self._individuals, self._kept_individuals, n)
 
     def stick_location(self, j: int) -> float:
         if j < 1:
@@ -98,7 +129,8 @@ class StickField:
             return
         K = _height_count(self.height_tol)
         k = np.arange(2, K + 1, dtype=float)
-        holds = exp_inverse(self._height_rng, K - 1) / (k * (k - 1.0) / 2.0)
+        (height_rng,) = self._rng.spawn(1)
+        holds = exp_inverse(height_rng, K - 1) / (k * (k - 1.0) / 2.0)
         self._heights = np.cumsum(holds[::-1])[::-1] + 2.0 / K
 
     def stick_height(self, j: int) -> float:
@@ -200,12 +232,17 @@ def identify_ra(field: StickField, max_pairs: int, *,
     """
     if max_pairs < 1:
         raise ValueError("need max_pairs >= 1")
+    for cap in (max_individuals, max_sticks):
+        if cap is not None and cap < 1:
+            raise ValueError("need max_individuals and max_sticks >= 1")
+    indiv_cap = math.inf if max_individuals is None else max_individuals
     sticks: list = []  # planted stick locations, sorted
     individuals: list = []  # planted individual locations, sorted
+    drawn = field._individuals
     pairs: list = []
     while len(pairs) < max_pairs:
         while True:
-            if sticks and max_sticks is not None and len(sticks) >= max_sticks:
+            if max_sticks is not None and len(sticks) >= max_sticks:
                 return pairs
             anchor = field.stick_location(len(sticks) + 1)
             lo, hi = _interval_bounds(sticks, anchor)
@@ -217,9 +254,14 @@ def identify_ra(field: StickField, max_pairs: int, *,
         # no stick is planted during the hunt, so lo and hi stay the
         # anchor's neighbours
         while not (left and right):
-            if max_individuals is not None and len(individuals) >= max_individuals:
+            planted = len(individuals)
+            if planted >= indiv_cap:
                 return pairs
-            loc = field.individual_location(len(individuals) + 1)
+            if planted == len(drawn):
+                # positions do not depend on how many are drawn at a time
+                field.ensure_individuals(min(planted + _BLOCK // 2, indiv_cap))
+                drawn = field._individuals
+            loc = drawn[planted]
             insort(individuals, loc)
             left = left or lo < loc < anchor
             right = right or anchor < loc < hi

@@ -54,6 +54,82 @@ def test_sample_stick_field_counts_and_lazy_extension():
         field.stick_location(0)
 
 
+_EDGE_COUNTS = (1, 31, 32, 33, 200)
+
+
+def test_positions_follow_the_stream_layout_in_any_order():
+    # stick j is stream value 2(j-1) and individual i is value 2i-1, both
+    # sides of the 64-value block edge, whichever kind is asked for first
+    for ns in _EDGE_COUNTS:
+        for ni in _EDGE_COUNTS:
+            path = (20, ns, ni)
+            twin = stream(*path).random(2 * max(ns, ni)).tolist()
+            assert 0.0 not in twin and len(set(twin)) == len(twin)
+            want = (twin[0::2][:ns], twin[1::2][:ni])
+
+            sticks_first = StickField(stream(*path))
+            sticks_first.ensure_sticks(ns)
+            sticks_first.ensure_individuals(ni)
+            indivs_first = StickField(stream(*path))
+            indivs_first.ensure_individuals(ni)
+            indivs_first.ensure_sticks(ns)
+            sampled = sample_stick_field(ns, ni, stream(*path))
+            for field in (sticks_first, indivs_first, sampled):
+                assert (field._sticks, field._individuals) == want
+
+
+class _ScriptedBlocks:
+    """Generator stand-in whose random(size) returns the scripted blocks."""
+
+    def __init__(self, blocks):
+        self.blocks = [np.asarray(b, dtype=float) for b in blocks]
+
+    def random(self, size=None):
+        block = self.blocks.pop(0)
+        assert block.shape == (size,)
+        return block
+
+
+def test_zero_and_repeated_positions_are_skipped_in_stream_order():
+    stream_vals = [(k + 1) / 256.0 for k in range(128)]
+    # even slots are sticks, odd slots individuals
+    stream_vals[4] = 0.0                # zero
+    stream_vals[9] = 0.0
+    stream_vals[10] = stream_vals[3]    # repeat inside the block
+    stream_vals[15] = stream_vals[6]
+    stream_vals[66] = stream_vals[1]    # repeat of the first block
+    stream_vals[71] = stream_vals[20]
+    stream_vals[73] = stream_vals[10]   # repeat of a skipped repeat
+    skipped = {4, 9, 10, 15, 66, 71, 73}
+    blocks = [stream_vals[:64], stream_vals[64:]]
+    kept = [k for k in range(128) if k not in skipped]
+    want_sticks = [stream_vals[k] for k in kept if k % 2 == 0]
+    want_indivs = [stream_vals[k] for k in kept if k % 2 == 1]
+    assert (len(want_sticks), len(want_indivs)) == (61, 60)
+
+    def read(first):
+        field = StickField(_ScriptedBlocks(blocks))
+        if first == "sticks":
+            field.ensure_sticks(61)
+            field.ensure_individuals(60)
+        else:
+            field.ensure_individuals(60)
+            field.ensure_sticks(61)
+        return field
+
+    for first in ("sticks", "individuals"):
+        field = read(first)
+        assert field._sticks == want_sticks
+        assert field._individuals == want_indivs
+        locs = field._sticks + field._individuals
+        assert 0.0 not in locs and len(set(locs)) == len(locs)
+    # the first block keeps 30 of each kind; stick 31 needs the second
+    field = StickField(_ScriptedBlocks(blocks))
+    assert field.stick_location(30) == want_sticks[29]
+    assert field.individual_location(29) == want_indivs[28]
+    assert field.stick_location(31) == want_sticks[30]
+
+
 def test_height_tol_validation():
     with pytest.raises(ValueError):
         StickField(stream(2, 0), height_tol=0.0)
@@ -311,6 +387,15 @@ def test_identify_ra_against_sorted_board():
         got = identify_ra(field, max_pairs, max_individuals=cap,
                           max_sticks=cap)
         assert [(st.r, st.a) for st in got] == want
+
+
+def test_identify_ra_rejects_caps_below_one():
+    for caps in ({"max_sticks": 0}, {"max_sticks": -3},
+                 {"max_individuals": 0}, {"max_individuals": -3}):
+        with pytest.raises(ValueError):
+            identify_ra(StickField(stream(1, 0)), 2, **caps)
+    pairs = identify_ra(StickField(stream(1, 0)), 2, max_sticks=1)
+    assert all(st.r <= 1 for st in pairs)
 
 
 def test_identify_ra_first_position_law():
