@@ -146,14 +146,14 @@ def wn_pmf(n: int) -> WnLaw:
 
 
 def wn_log_pmf(n: int, k) -> float | np.ndarray:
-    """log P(W_n = k) through log-gamma differences; works far past the
-    exact-weight range.  k = 0 or k outside 0..n gives -inf."""
+    """log P(W_n = k) through one log-gamma difference kernel; works far
+    past the exact-weight range.  k = 0 or k outside 0..n gives -inf."""
     if n < 1:
         raise ValueError("need n >= 1")
     k_arr = np.asarray(k, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         # ln C(2n, n-k) - ln C(2n, n), then the k * 2/n prefactor
-        delta = log_gamma_diff(n + 1.0, k_arr) - log_gamma_diff(n + k_arr + 1.0, k_arr)
+        delta = log_gamma_diff(n + 1.0, k_arr, k_arr)
         out = np.log(2.0 * k_arr / n) + delta
     out = np.where((k_arr < 1) | (k_arr > n), -np.inf, out)
     if np.ndim(k) == 0:

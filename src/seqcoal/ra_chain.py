@@ -197,7 +197,7 @@ def r_tail_exact(state: RAState, x) -> Fraction:
 
 def _log_r_tail(r, a, x):
     """log of the rank-transition tail, stable for astronomically large a."""
-    return log_gamma_diff(a - r, x - 1.0) - log_gamma_diff(a + r + x, x - 1.0)
+    return log_gamma_diff(a - r, 2.0 * r + x, x - 1.0)
 
 
 def _invert_rank(r, a, log_u):
@@ -205,15 +205,20 @@ def _invert_rank(r, a, log_u):
     lane, for float arrays r, a and log_u of one shape.
 
     Guided inversion (Devroye 1986, ch. 2-3).  Each lane starts at the
-    closed-form guess g solving (x - 1)(2r + x) = -a ln u, the point where
+    closed-form guess t solving (x - 1)(2r + x) = -a ln u, the point where
     the tail's leading-order approximation exp(-(x - 1)(2r + x)/a) equals u,
-    clipped to [1, a - r - 1].  One tail evaluation at g picks the direction;
-    steps doubling away from g find a bracket, and bisection closes it.
-    x = a - r needs no evaluation (its tail is 0), so lanes with a - r = 1
-    are never evaluated.  Every evaluation runs on the lanes still open,
-    gathered by index, so the number of evaluations follows how far the
-    guesses miss rather than the width of the support.  Raises OverflowError
-    if some a is above _FLOAT_LIMIT or not a number.
+    clipped to [1, a - r - 1].  One tail evaluation v = L(t + 1) there, with
+    the one-step ratio tail(y + 1) = tail(y) (a - r - y)/(a + r + y), gives
+    L(t) and L(t + 2) as well; a lane whose u falls between L(t + 2) and
+    L(t) returns t or t + 1 with no further evaluation.  That settles nearly
+    every lane once a is past a few thousand.  On the other lanes steps
+    doubling away from t find a bracket, and bisection closes it.  x = a - r
+    needs no evaluation (its tail is 0), so lanes with a - r = 1 are never
+    evaluated.  Every later evaluation runs on the lanes still open,
+    gathered by index.  The tail is good to a few ulps of its value for
+    every a up to _FLOAT_LIMIT, so the draw is the exact inverse whenever u
+    is further than that from a tail value.  Raises OverflowError if some a
+    is above _FLOAT_LIMIT or not a number.
     """
     if not np.all(a <= _FLOAT_LIMIT):
         raise OverflowError(
@@ -230,9 +235,27 @@ def _invert_rank(r, a, log_u):
     with np.errstate(over="ignore"):  # b * b = inf (r > 6e153) gives g = 1
         g = np.floor(1.0 + 2.0 * ae / (b + np.sqrt(b * b + 4.0 * ae)))
     t = np.clip(g, 1.0, max_x - 1.0)  # the point each lane tests
-    lo, hi = np.ones_like(t), max_x  # the answer lies in [lo, hi]
-    cond = down = _log_r_tail(r, a, t + 1.0) <= log_u  # true: gallop down
-    step = np.ones_like(t)  # gallop step, doubled per move; 0 once bisecting
+    v = _log_r_tail(r, a, t + 1.0)
+    down = v <= log_u  # true: the answer is t or below
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: t + 1 = a - r
+        hit = np.where(
+            down,
+            v - np.log1p(-(2.0 * r + 2.0 * t) / (a + r + t)) > log_u,
+            v + np.log1p(-(2.0 * r + 2.0 * t + 2.0) / (a + r + t + 1.0)) <= log_u)
+    x[idx[hit]] = np.where(down, t, t + 1.0)[hit]
+    keep = ~hit
+    if not keep.any():
+        return x
+    idx, r, a, log_u, t, down = (idx[keep], r[keep], a[keep], log_u[keep],
+                                 t[keep], down[keep])
+    # the lanes left have L(t) <= ln u (down) or L(t + 2) > ln u (up): the
+    # gallop's first move, to t - 1 or t + 1, is already evaluated
+    t = np.where(down, t - 1.0, t + 1.0)
+    lo, hi = np.ones_like(t), max_x[keep]  # the answer lies in [lo, hi]
+    cond = down
+    # gallop step, doubled per move and 0 once bisecting; past 2^53 it
+    # starts at the float spacing of t, so that the first move moves
+    step = np.maximum(2.0, np.spacing(t))
     while True:
         hi = np.where(cond, t, hi)
         # past 2^53, t + 1 can round back to t; nextafter still moves on
@@ -265,10 +288,12 @@ def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
 
     For a <= 1e6 the support is scanned with the sequential ratio recursion
     tail(x+1) = tail(x) (a-r-x)/(a+r+x).  Beyond, the guided inversion of
-    _invert_rank runs on one lane with log-gamma tail evaluations; it is
-    exact up to the rounding of the log tail, and past 2^53 it searches
-    over float-representable x only.  A position above 1e300, or a float
-    rank that r + x rounds back to r, raises OverflowError.
+    _invert_rank runs on one lane, usually with one log tail evaluation; the
+    log tail is good to a few ulps up to a = 1e300, so the draw is exact
+    unless u lies within that rounding of a tail value.  Past 2^53 it
+    searches over float-representable x only.  A position above 1e300, or a
+    float rank that r + x rounds back to r (x below the spacing of floats
+    at r), raises OverflowError.
     """
     r, a = state.r, state.a
     u = nonzero_uniform(rng)
@@ -428,14 +453,16 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     Intended for statistical verification at scale: state values are floats
     (exact as integers up to 2^53, the double-precision continuation beyond),
     and the rank step is the guided inversion on log-gamma tails for every a,
-    with no sequential scan.  Per step it draws one uniform array for ranks,
-    then one for positions.  Uniforms equal to 0 are redrawn, and so is every
-    position uniform whose offset c(1-u)/u overflows, as in sample_a_next.
-    A position above 1e300, at the start or after some step, raises
-    OverflowError, and so does a step at which some lane's rank stalls,
-    r + x rounding back to r.  From a small start a stall comes first: ln A
-    grows by about 1 per step, and stalls begin near a = 1e41, some 80
-    steps in, where 1e300 would take about 690 steps.
+    with no sequential scan; it follows the chain's law up to a = 1e300.
+    Per step it draws one uniform array for ranks, then one for positions.
+    Uniforms equal to 0 are redrawn, and so is every position uniform whose
+    offset c(1-u)/u overflows, as in sample_a_next.  A position above 1e300,
+    at the start or after some step, raises OverflowError; ln A grows by
+    about 1 per step, so from a small start that takes about 690 steps.  So
+    does a step at which some lane's rank stalls, r + x rounding back to r:
+    that needs x below the spacing of floats at r, which from a small start
+    has probability about 2^-51 per lane-step, but is certain from, say,
+    (1e20, 1e22).
     """
     r0, a0 = start
     if a0 - r0 < 1:

@@ -80,8 +80,15 @@ def test_ra_sample_overflow_exits_two(capsys, monkeypatch):
     assert err.startswith("error: a position passed 1e+06 at step")
 
 
-def test_ra_sample_stalled_rank_exits_two(capsys):
-    # past 2^53 a rank can round back to itself; the chain stops there
+def test_ra_sample_stalled_rank_exits_two(capsys, monkeypatch):
+    # past 2^53 a rank can round back to itself, and the chain stops there.
+    # From (1, 2) that is a 2^-51 event per lane-step, so the paths start
+    # where every rank stalls at once: r = 1e20 moves by about 50 |ln u|,
+    # below its ulp of 16384
+    batch = ra_chain.sample_paths_batch
+    monkeypatch.setattr(ra_chain, "sample_paths_batch",
+                        lambda num, steps, rng, start: batch(num, steps, rng,
+                                                             start=(1e20, 1e22)))
     rc, out, err = run_cli(capsys, "ra-sample", "--paths", "20", "--steps", "200")
     assert rc == 2
     assert out == ""

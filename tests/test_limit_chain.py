@@ -140,6 +140,23 @@ def test_wn_log_pmf_matches_float_pmf():
     assert np.all(logs[~ok] < -600.0)
 
 
+def test_wn_log_pmf_against_mpmath_far_past_exact_weights():
+    # log C(2n, n-k) - log C(2n, n) is one fused log-gamma difference, so the
+    # bulk k ~ sqrt(n) keeps its digits at any n
+    mpmath = pytest.importorskip("mpmath")
+    for e in range(2, 21):
+        n = 10**e
+        k = np.unique(np.floor(np.linspace(0.1, 3.0, 16) * math.sqrt(n)))
+        got = wn_log_pmf(n, k)
+        with mpmath.workdps(40 + 2 * e):
+            N = mpmath.mpf(n)
+            for ki, gi in zip(k.tolist(), got.tolist()):
+                K = mpmath.mpf(ki)
+                want = (mpmath.log(2 * K / N) + 2 * mpmath.loggamma(N + 1)
+                        - mpmath.loggamma(N - K + 1) - mpmath.loggamma(N + K + 1))
+                assert abs(gi - float(want)) <= 1e-13, (n, ki)
+
+
 def test_wn_log_pmf_support_and_scalar():
     assert wn_log_pmf(10, 0) == -math.inf
     assert wn_log_pmf(10, 11) == -math.inf

@@ -15,7 +15,7 @@ from seqcoal.ra_chain import (EXACT_LIMIT, RAPath, RAState, a_pmf, a_pmf_exact,
                               sample_path, sample_paths_batch, sample_r_next,
                               sample_r_next_batch, step, urn_oracle_a,
                               urn_oracle_r)
-from seqcoal.stats import chi2_gof
+from seqcoal.stats import chi2_gof, ks_one_sample
 from seqcoal.streams import exp_inverse, nonzero_uniform, stream
 
 
@@ -208,9 +208,9 @@ def test_guided_inversion_matches_reference_bisection():
 def test_guided_inversion_evaluates_few_points(monkeypatch):
     calls = []
 
-    def counted(z, m):
+    def counted(z, gap, m):
         calls.append(np.size(z))
-        return log_gamma_diff(z, m)
+        return log_gamma_diff(z, gap, m)
 
     rng = stream(27, 1)
     n = 2000
@@ -221,10 +221,10 @@ def test_guided_inversion_evaluates_few_points(monkeypatch):
     got = ra_chain._invert_rank(r, a, np.log(u))
     monkeypatch.undo()
     assert np.array_equal(got, _reference_inversion(r, a, np.log(u)))
-    # two log_gamma_diff calls per tail evaluation; a bisection over the
-    # support would take about 40 evaluations of every lane here
-    assert len(calls) <= 2 * 8
-    assert sum(calls) <= 2 * 3 * n
+    # one tail evaluation per lane: the guess and the one-step ratio settle
+    # every lane here, where a bisection over the support would take about
+    # 40 evaluations of every lane
+    assert calls == [n]
 
 
 def _boundary_cases(mp):
@@ -237,7 +237,7 @@ def _boundary_cases(mp):
                 - mp.loggamma(a + r + k) + mp.loggamma(a + r + 1))
 
     cases = []
-    for a in (10**7, 10**10, 10**12):
+    for a in (10**7, 10**10, 10**12, 10**14, 10**20, 10**28):
         for r in (1, math.isqrt(a)):
             for target in (0.9, 0.5, 0.05):
                 e = -a * math.log(target)
@@ -251,7 +251,8 @@ def _boundary_cases(mp):
 
 def test_boundary_draws_against_mpmath_tails():
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
+    # the log-gamma values reach 7e29 at a = 1e28; 40 digits past them
+    with mpmath.workdps(80):
         cases = _boundary_cases(mpmath.mp)
     for r, a, x, u in cases:
         assert sample_r_next(RAState(r, a), ScriptedRNG([u])) == r + x
@@ -453,29 +454,48 @@ def test_float_continuation_stops_at_its_limit(monkeypatch):
             sample_a_next(RAState(1.0, big, False), 2.0, ScriptedRNG(tiny))
     with pytest.raises(OverflowError):
         sample_paths_batch(4, 3, stream(27, 3), start=(1, 1e307))
-    # from 1e290 a rank stalls (at step 2) before a passes 1e300 (step 21)
-    with pytest.raises(OverflowError, match="rank stalled at step 2:"):
+    # from 1e290 the chain runs until a passes 1e300, with no stalled rank
+    with pytest.raises(OverflowError, match="passed 1e\\+300 at step 21:"):
         sample_paths_batch(4, 200, stream(27, 3), start=(1, 1e290))
-    # so the check after each step is reached below the stalls, with a low
-    # limit; ln A grows by about 1 per step
+    # the check after each step, with a low limit; ln A grows by about 1
+    # per step
     monkeypatch.setattr(ra_chain, "_FLOAT_LIMIT", 1e20)
     with pytest.raises(OverflowError, match="passed 1e\\+20 at step"):
         sample_paths_batch(4, 200, stream(27, 3))
 
 
 def test_stalled_rank_raises():
-    # past 2^53 the continuation can return an x with r + x == r; the chain
-    # stops there instead of repeating R
-    with pytest.raises(OverflowError, match="rank stalled at step 91:"):
-        sample_paths_batch(20, 200, stream(3, 0))
-    # every step before the stall raises the rank on every lane
-    R, _ = sample_paths_batch(20, 90, stream(3, 0))
-    assert np.all(np.diff(R, axis=0) > 0.0)
-    assert R.max() > 2.0**53
-    with pytest.raises(OverflowError, match="rank stalled at"):
-        sample_path(RAState(1, 2), 2000, stream(3, 0))
+    # past 2^53 an x below ulp(r) gives r + x == r; the chain stops there
+    # instead of repeating R.  From r = 1e20 (ulp 16384) and a = 1e22 the
+    # rank moves by about 50 |ln u|, so every lane stalls at once
+    start = (1e20, 1e22)
+    with pytest.raises(OverflowError, match="rank stalled at step 1:"):
+        sample_paths_batch(20, 200, stream(3, 0), start=start)
+    with pytest.raises(OverflowError, match="rank stalled at 1e\\+20:"):
+        sample_path(RAState(*start, False), 5, stream(3, 0))
     with pytest.raises(OverflowError, match="rank stalled at"):
         sample_r_next(RAState(1e40, 1e42, False), ScriptedRNG([0.5]))
+    # from (1, 2) an x below ulp(r) has probability about 2^-51 per
+    # lane-step, so 200 steps raise every rank
+    R, A = sample_paths_batch(20, 200, stream(3, 0))
+    assert np.all(np.diff(R, axis=0) > 0.0)
+    assert R.max() > 2.0**53 and A.max() > 1e80
+
+
+def test_rescaled_rank_keeps_its_limit_law_past_1e28():
+    # R^2/A tends to Exp(1), whose median is ln 2.  Every lane passes
+    # a = 1e36 by step 120, so each four-decade band below it holds about
+    # nine states per lane, with no selection by how fast a lane grew
+    R, A = sample_paths_batch(1000, 120, stream(28, 0))
+    xi, decade = R**2 / A, np.log10(A)
+    assert decade[-1].min() > 36.0
+    for lo in range(8, 36, 4):
+        band = xi[(decade >= lo) & (decade < lo + 4)]
+        assert band.size > 5000
+        assert abs(np.median(band) - math.log(2.0)) < 0.1, lo
+    # the last state of every lane, one independent draw each, past 1e36
+    rep = ks_one_sample(xi[-1], "exp1")
+    assert rep.passed, rep.to_dict()
 
 
 def test_exact_limit_is_unsigned_128_bit_bound():
