@@ -53,10 +53,10 @@ def _cmd_simulate(args) -> int:
     for rep in range(args.replicates):
         traj = kingman.simulate_kingman(args.n, stream(args.seed, _NS_SIMULATE, rep))
         events = []
-        for i, ev in enumerate(traj.events, start=1):
-            rows.append(f"{rep},{i},{ev.time!r},{ev.block_a},{ev.block_b}")
-            events.append({"time": ev.time, "block_a": ev.block_a,
-                           "block_b": ev.block_b})
+        merges = zip(traj.times, traj.block_a, traj.block_b)
+        for i, (t, a, b) in enumerate(merges, start=1):
+            rows.append(f"{rep},{i},{t!r},{a},{b}")
+            events.append({"time": t, "block_a": a, "block_b": b})
         payload.append({"replicate": rep, "n": args.n, "events": events})
     return _write(args, "replicate,event_index,time,block_a,block_b", rows, payload)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,60 +71,78 @@ class TrajectoryEvent:
     block_b: int
 
 
-@dataclass
+@dataclass(init=False)
 class Trajectory:
     """Merge history over individuals 1..n; complete once n - 1 events exist.
 
     Blocks are labelled by their minima, so a merge (a, b) with a < b leaves
-    label a alive and retires label b.  Constructing a trajectory validates
-    its events; the builders of this module skip that, since their output is
-    valid by construction.
+    label a alive and retires label b.  The history is stored as three
+    parallel lists sorted by event time: `times`, `block_a` (the surviving
+    labels) and `block_b` (the retired labels).  `events` is a read-only
+    view: a fresh list of TrajectoryEvent, made only when it is read.
+    Equality compares n and the three lists.
+
+    `Trajectory(n, events)` validates the events it is given; the builders
+    of this module fill the lists directly and skip that, since their output
+    is valid by construction.
     """
 
     n: int
-    events: list = field(default_factory=list)
+    times: list
+    block_a: list
+    block_b: list
 
-    def __post_init__(self):
+    def __init__(self, n: int, events=()):
+        events = list(events)
+        self.n = n
+        self.times = [ev.time for ev in events]
+        self.block_a = [ev.block_a for ev in events]
+        self.block_b = [ev.block_b for ev in events]
         self.validate()
 
     def validate(self):
         if self.n < 1:
             raise ValueError("need at least one individual")
-        if len(self.events) > self.n - 1:
+        if not len(self.times) == len(self.block_a) == len(self.block_b):
+            raise ValueError("event times and labels differ in length")
+        if len(self.times) > self.n - 1:
             raise ValueError("more events than a coalescent of this size allows")
         last = 0.0
         live = set(range(1, self.n + 1))
-        for ev in self.events:
-            if not (ev.time > last):
+        for t, a, b in zip(self.times, self.block_a, self.block_b):
+            if not (t > last):
                 raise ValueError("event times must be strictly increasing")
-            if not math.isfinite(ev.time):
+            if not math.isfinite(t):
                 raise ValueError("non-finite event time")
-            last = ev.time
-            if not ev.block_a < ev.block_b:
+            last = t
+            if not a < b:
                 raise ValueError("event labels must satisfy block_a < block_b")
-            if ev.block_a not in live or ev.block_b not in live:
+            if a not in live or b not in live:
                 raise ValueError("event labels are not current block minima")
-            live.remove(ev.block_b)
+            live.remove(b)
+
+    @property
+    def events(self) -> list:
+        return list(map(TrajectoryEvent, self.times, self.block_a, self.block_b))
 
     @property
     def is_complete(self) -> bool:
-        return len(self.events) == self.n - 1
+        return len(self.times) == self.n - 1
 
     def event_times(self) -> list:
-        return [ev.time for ev in self.events]
+        return list(self.times)
 
     def block_count_at(self, t: float) -> int:
         """Number of blocks at time t (right-continuous in t)."""
-        times = self.event_times()
-        return self.n - bisect_right(times, t)
+        return self.n - bisect_right(self.times, t)
 
     def partition_at(self, t: float) -> Partition:
         """Partition at time t; a merge at exactly t has already happened."""
         members = {i: [i] for i in range(1, self.n + 1)}
-        for ev in self.events:
-            if ev.time > t:
+        for time, a, b in zip(self.times, self.block_a, self.block_b):
+            if time > t:
                 break
-            members[ev.block_a] += members.pop(ev.block_b)
+            members[a] += members.pop(b)
         return Partition(self.n, [frozenset(g) for g in members.values()])
 
 
@@ -175,7 +193,7 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
         raise ValueError("need at least one individual")
     roots = list(range(1, n + 1))  # live block labels, ascending
     t = 0.0
-    events = []
+    times, block_a, block_b = [], [], []
     for b in range(n, 1, -1):
         rate = b * (b - 1) / 2.0
         t_next = t + exp_inverse(rng) / rate
@@ -188,9 +206,11 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
             j += 1
         if j < i:
             i, j = j, i
-        events.append(TrajectoryEvent(t, roots[i], roots[j]))
-        del roots[j]
-    return _trusted(Trajectory, n=n, events=events)
+        times.append(t)
+        block_a.append(roots[i])
+        block_b.append(roots.pop(j))
+    return _trusted(Trajectory, n=n, times=times, block_a=block_a,
+                    block_b=block_b)
 
 
 def _hazard_scan(times: list, n: int, target: float) -> tuple:
@@ -220,8 +240,7 @@ def cumulative_hazard(traj: Trajectory, t: float) -> float:
         raise ValueError("trajectory is not complete")
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    times = traj.event_times()
-    times = times[:bisect_left(times, t)]
+    times = traj.times[:bisect_left(traj.times, t)]
     total, prev, count = _hazard_scan(times, traj.n, math.inf)
     return total + count * (t - prev)
 
@@ -237,7 +256,7 @@ def invert_cumulative_hazard(traj: Trajectory, target: float) -> float:
         raise ValueError("trajectory is not complete")
     if not (target > 0.0 and math.isfinite(target)):
         raise ValueError("target must be positive and finite")
-    return _invert_hazard(traj.event_times(), traj.n, target)
+    return _invert_hazard(traj.times, traj.n, target)
 
 
 def _add_individual(times: list, block_a: list, block_b: list, n: int,
@@ -272,27 +291,25 @@ def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
     """
     if not traj.is_complete:
         raise ValueError("trajectory is not complete")
-    events = list(traj.events)
-    times = [ev.time for ev in events]
-    block_a = [ev.block_a for ev in events]
-    block_b = [ev.block_b for ev in events]
+    times = list(traj.times)
+    block_a, block_b = list(traj.block_a), list(traj.block_b)
     pos = _add_individual(times, block_a, block_b, traj.n, rng)
-    events.insert(pos, TrajectoryEvent(times[pos], block_a[pos], block_b[pos]))
-    return times[pos], _trusted(Trajectory, n=traj.n + 1, events=events)
+    return times[pos], _trusted(Trajectory, n=traj.n + 1, times=times,
+                                block_a=block_a, block_b=block_b)
 
 
 def build_pebls(n_max: int, rng: np.random.Generator) -> tuple:
     """Grow a trajectory from a single individual up to n_max, collecting the
     length of each added individual.  Returns (length sequence, trajectory).
-    Runs the step of extend_recursive on its own lists."""
+    Runs the step of extend_recursive on the lists it hands over."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     times, block_a, block_b, lengths = [], [], [], []
     for n in range(1, n_max):
         lengths.append(times[_add_individual(times, block_a, block_b, n, rng)])
-    events = list(map(TrajectoryEvent, times, block_a, block_b))
     return (_trusted(PeblsSequence, n_max=n_max, lengths=lengths),
-            _trusted(Trajectory, n=n_max, events=events))
+            _trusted(Trajectory, n=n_max, times=times, block_a=block_a,
+                     block_b=block_b))
 
 
 def reconstruct_from_pebls(pebls: PeblsSequence,
@@ -306,15 +323,17 @@ def reconstruct_from_pebls(pebls: PeblsSequence,
     clusters, because each individual heads its cluster until its own length
     and the partner's length exceeds L_n.  So the event is (L_n, partner, n).
     """
-    events = []
+    lengths = pebls.lengths
+    partners = []
     for n in range(2, pebls.n_max + 1):
-        ln = pebls.lengths[n - 2]
-        eligible = [1] + [i for i, v in zip(range(2, n), pebls.lengths)
-                          if v > ln]
-        partner = eligible[int(rng.integers(len(eligible)))]
-        events.append(TrajectoryEvent(ln, partner, n))
-    events.sort(key=lambda ev: ev.time)
-    return _trusted(Trajectory, n=pebls.n_max, events=events)
+        ln = lengths[n - 2]
+        eligible = [1] + [i for i, v in zip(range(2, n), lengths) if v > ln]
+        partners.append(eligible[int(rng.integers(len(eligible)))])
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    return _trusted(Trajectory, n=pebls.n_max,
+                    times=[lengths[k] for k in order],
+                    block_a=[partners[k] for k in order],
+                    block_b=[k + 2 for k in order])
 
 
 def time_to_mrca(traj: Trajectory) -> float:
@@ -323,4 +342,4 @@ def time_to_mrca(traj: Trajectory) -> float:
         raise ValueError("trajectory is not complete")
     if traj.n == 1:
         return 0.0
-    return traj.events[-1].time
+    return traj.times[-1]

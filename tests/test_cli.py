@@ -1,5 +1,6 @@
 """Command-line behaviour: headers, determinism, exit codes, JSON shape."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -39,6 +40,24 @@ def test_pebls_csv(capsys):
     assert lines[0] == "replicate,individual,length"
     assert len(lines) == 1 + 3 * 4
     assert lines[1].startswith("0,2,")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["simulate"],
+     "5dc6bcc4f86e795c138ee4b0fc01b3d6f8d952b3fc5a82897aa72b30a4598c28"),
+    (["pebls"],
+     "434360eee11a99c5643151534da8ffe931bdfbb6942be6cb249640fbf4818630"),
+    (["simulate", "--format", "json"],
+     "2127c12969a1383be46d3bb4c681fd7e93963028042f5ecb0bb6c47906f4388e"),
+    (["pebls", "--format", "json"],
+     "69a898b56e3f285c3d76c0ad9a66552cb9b4643b6db5e1d4741ab857c8afdcaa"),
+], ids=["simulate-csv", "pebls-csv", "simulate-json", "pebls-json"])
+def test_default_output_bytes_pinned(capsys, argv, digest):
+    # sha256 of stdout at the default flags: any change to a draw, to the
+    # trajectory lists or to the writers breaks it
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_ra_sample_csv(capsys):

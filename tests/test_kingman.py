@@ -11,7 +11,7 @@ from seqcoal.kingman import (Partition, PeblsSequence, Trajectory,
                              extend_recursive, invert_cumulative_hazard,
                              reconstruct_from_pebls, simulate_kingman,
                              time_to_mrca)
-from seqcoal.stats import ks_one_sample
+from seqcoal.stats import chi2_gof, ks_one_sample
 from seqcoal.streams import stream
 
 
@@ -223,3 +223,120 @@ def test_builder_events_pinned():
                     h.update(f"{ev.time.hex()},{ev.block_a},{ev.block_b};".encode())
     assert h.hexdigest() == (
         "f6046adca4048722080dd0d7db4e5a809eeaa55da7f7c0407dbf0ec58542f926")
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 160])
+def test_builders_make_no_events(n, monkeypatch):
+    # the builders fill three parallel lists and time_to_mrca reads the
+    # last time; a TrajectoryEvent is made only when `events` is read
+    made = []
+    init = TrajectoryEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectoryEvent, "__init__", counting_init)
+    trajs = _builder_outputs(n, 0)
+    for traj in trajs:
+        time_to_mrca(traj)
+    assert made == []
+    assert len(trajs[0].events) == n - 1
+    assert len(made) == n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_events_view_round_trips_and_is_a_copy(n):
+    for traj in _builder_outputs(n, 1):
+        assert Trajectory(traj.n, traj.events) == traj
+        before = (list(traj.times), list(traj.block_a), list(traj.block_b))
+        view = traj.events
+        view.reverse()
+        view.append(TrajectoryEvent(math.inf, 1, 2))
+        assert (traj.times, traj.block_a, traj.block_b) == before
+        assert traj.events != view
+        with pytest.raises(AttributeError):
+            traj.events = []
+
+
+def test_trajectory_equality_reads_labels():
+    one = Trajectory(3, [TrajectoryEvent(0.5, 1, 2), TrajectoryEvent(1.0, 1, 3)])
+    assert one == Trajectory(3, one.events)
+    assert one != Trajectory(3, [TrajectoryEvent(0.5, 2, 3),
+                                 TrajectoryEvent(1.0, 1, 2)])
+    assert one != Trajectory(4, one.events)
+
+
+# Window laws of the length sequence (Saunders, Tavare and Watterson 1984):
+# over L_2..L_N the largest length sits at A_1 >= j with probability
+# 2(N + 1 - j)/((N - 1) j); its limit in N is the chain's first record law.
+WINDOW_N = 12
+WINDOW_SAMPLES = 10000
+
+
+def _a1_pmf(N):
+    tail = [2 * (N + 1 - j) / ((N - 1) * j) for j in range(2, N + 2)]
+    return [tail[k] - tail[k + 1] for k in range(N - 1)]
+
+
+def _a1_counts(windows):
+    counts = np.zeros(WINDOW_N - 1)
+    for lengths in windows:
+        counts[lengths.index(max(lengths))] += 1
+    return counts
+
+
+def test_window_law_on_build_pebls():
+    rng = stream(34, 0)
+    windows = (build_pebls(WINDOW_N, rng)[0].lengths
+               for _ in range(WINDOW_SAMPLES))
+    assert chi2_gof(_a1_counts(windows), _a1_pmf(WINDOW_N)).passed
+
+
+def test_window_law_on_the_direct_route():
+    # with blocks labelled by their minima, L_n is the time of the merge
+    # that retires label n
+    rng = stream(34, 1)
+    windows = []
+    for _ in range(WINDOW_SAMPLES):
+        traj = simulate_kingman(WINDOW_N, rng)
+        windows.append([traj.times[traj.block_b.index(m)]
+                        for m in range(2, WINDOW_N + 1)])
+    assert chi2_gof(_a1_counts(windows), _a1_pmf(WINDOW_N)).passed
+
+
+# Root split: just before the last merge, individual 1's block holds K
+# individuals with P(K = k) = 2k/(n(n - 1)), k = 1..n - 1.  Unlike T_MRCA,
+# K reads the labels.
+SPLIT_N = 10
+SPLIT_SAMPLES = 10000
+
+
+def _root_split(traj):
+    size = dict.fromkeys(range(1, traj.n + 1), 1)
+    for a, b in zip(traj.block_a[:-1], traj.block_b[:-1]):
+        size[a] += size.pop(b)
+    return size[1]
+
+
+def _direct(rng):
+    return simulate_kingman(SPLIT_N, rng)
+
+
+def _recursive(rng):
+    return build_pebls(SPLIT_N, rng)[1]
+
+
+def _reconstructed(rng):
+    return reconstruct_from_pebls(build_pebls(SPLIT_N, rng)[0], rng)
+
+
+@pytest.mark.parametrize("route", [_direct, _recursive, _reconstructed],
+                         ids=["direct", "recursive", "reconstructed"])
+def test_root_split_law(route):
+    rng = stream(35, SPLIT_N)
+    counts = np.zeros(SPLIT_N - 1)
+    for _ in range(SPLIT_SAMPLES):
+        counts[_root_split(route(rng)) - 1] += 1
+    probs = [2 * k / (SPLIT_N * (SPLIT_N - 1)) for k in range(1, SPLIT_N)]
+    assert chi2_gof(counts, probs).passed
