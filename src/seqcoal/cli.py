@@ -37,47 +37,53 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _write(args, header: str, rows: list, payload) -> int:
-    """Write the CSV header and rows, or with --format json the payload as
-    canonical JSON, to stdout or --out."""
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join([header] + rows) + "\n", args.out)
+def _write_csv(args, header: str, rows) -> int:
+    """Write the CSV header and the rows, an iterable of lines, to stdout or
+    --out.  Each subcommand builds only the format asked for."""
+    _emit("\n".join([header, *rows]) + "\n", args.out)
+    return 0
+
+
+def _write_json(args, payload) -> int:
+    """Write the payload as canonical JSON to stdout or --out."""
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    rows = []
-    payload = []
-    for rep in range(args.replicates):
-        traj = kingman.simulate_kingman(args.n, stream(args.seed, _NS_SIMULATE, rep))
-        events = []
-        merges = zip(traj.times, traj.block_a, traj.block_b)
-        for i, (t, a, b) in enumerate(merges, start=1):
-            rows.append(f"{rep},{i},{t!r},{a},{b}")
-            events.append({"time": t, "block_a": a, "block_b": b})
-        payload.append({"replicate": rep, "n": args.n, "events": events})
-    return _write(args, "replicate,event_index,time,block_a,block_b", rows, payload)
+    trajs = [kingman.simulate_kingman(args.n, stream(args.seed, _NS_SIMULATE, rep))
+             for rep in range(args.replicates)]
+    merges = [list(zip(t.times, t.block_a, t.block_b)) for t in trajs]
+    if args.format == "json":
+        return _write_json(args, [
+            {"replicate": rep, "n": args.n,
+             "events": [{"time": t, "block_a": a, "block_b": b} for t, a, b in ev]}
+            for rep, ev in enumerate(merges)])
+    return _write_csv(args, "replicate,event_index,time,block_a,block_b", (
+        f"{rep},{i},{t!r},{a},{b}" for rep, ev in enumerate(merges)
+        for i, (t, a, b) in enumerate(ev, start=1)))
 
 
 def _cmd_pebls(args) -> int:
-    rows = []
-    payload = []
-    for rep in range(args.replicates):
-        pebls, _ = kingman.build_pebls(args.n, stream(args.seed, _NS_PEBLS, rep))
-        for i, v in enumerate(pebls.lengths, start=2):
-            rows.append(f"{rep},{i},{v!r}")
-        payload.append({"replicate": rep,
-                        "lengths": {str(i): v for i, v in
-                                    enumerate(pebls.lengths, start=2)}})
-    return _write(args, "replicate,individual,length", rows, payload)
+    lengths = [kingman.build_pebls(args.n, stream(args.seed, _NS_PEBLS, rep))[0].lengths
+               for rep in range(args.replicates)]
+    if args.format == "json":
+        return _write_json(args, [
+            {"replicate": rep,
+             "lengths": {str(i): v for i, v in enumerate(seq, start=2)}}
+            for rep, seq in enumerate(lengths)])
+    return _write_csv(args, "replicate,individual,length", (
+        f"{rep},{i},{v!r}" for rep, seq in enumerate(lengths)
+        for i, v in enumerate(seq, start=2)))
 
 
-def _format_state(v: float) -> str:
-    if v <= _FLOAT_EXACT_LIMIT:
-        return str(int(v))
-    return repr(v)
+def _exact_ints(X: np.ndarray) -> list:
+    """X as nested lists, its values Python ints up to 2^53, where every
+    integer is an exact double, and floats past it, so that str() writes
+    `123`, or a float's repr such as `3.3304163501621165e+17`."""
+    small = X <= _FLOAT_EXACT_LIMIT
+    ints = np.where(small, X, 0.0).astype(np.int64).astype(object)
+    return np.where(small, ints, X.astype(object)).tolist()
 
 
 def _cmd_ra_sample(args) -> int:
@@ -88,28 +94,29 @@ def _cmd_ra_sample(args) -> int:
             "note: some positions passed the exact integer range and continue "
             "in double precision (flagged continuation)\n")
     kept = np.arange(args.burn_in, args.steps + 1)
-    R, A = R[kept].T.tolist(), A[kept].T.tolist()
-    rows = []
-    payload = []
-    for p in range(args.paths):
-        for i, r, a in zip(range(args.burn_in + 1, args.steps + 2), R[p], A[p]):
-            rows.append(f"{p},{i},{_format_state(r)},{_format_state(a)}")
-        payload.append({"path": p, "first_index": args.burn_in + 1,
-                        "states": [[r, a] for r, a in zip(R[p], A[p])]})
-    return _write(args, "path,i,R,A", rows, payload)
+    R, A = R[kept].T, A[kept].T
+    first = args.burn_in + 1
+    if args.format == "json":
+        return _write_json(args, [
+            {"path": p, "first_index": first, "states": [list(s) for s in zip(rs, as_)]}
+            for p, (rs, as_) in enumerate(zip(R.tolist(), A.tolist()))])
+    return _write_csv(args, "path,i,R,A", (
+        f"{p},{i},{r},{a}"
+        for p, (rs, as_) in enumerate(zip(_exact_ints(R), _exact_ints(A)))
+        for i, r, a in zip(range(first, args.steps + 2), rs, as_)))
 
 
 def _cmd_ra_extract(args) -> int:
-    rows = []
-    payload = []
-    for rep in range(args.replicates):
-        field = aldous.StickField(stream(args.seed, _NS_RA_EXTRACT, rep))
-        pairs = aldous.identify_ra(field, args.n)
-        for i, st in enumerate(pairs, start=1):
-            rows.append(f"{rep},{i},{st.r},{st.a}")
-        payload.append({"replicate": rep,
-                        "pairs": [[st.r, st.a] for st in pairs]})
-    return _write(args, "replicate,i,R,A", rows, payload)
+    pairs = [aldous.identify_ra(aldous.StickField(stream(args.seed, _NS_RA_EXTRACT, rep)),
+                                args.n)
+             for rep in range(args.replicates)]
+    if args.format == "json":
+        return _write_json(args, [
+            {"replicate": rep, "pairs": [[st.r, st.a] for st in got]}
+            for rep, got in enumerate(pairs)])
+    return _write_csv(args, "replicate,i,R,A", (
+        f"{rep},{i},{st.r},{st.a}" for rep, got in enumerate(pairs)
+        for i, st in enumerate(got, start=1)))
 
 
 def _cmd_limit(args) -> int:
@@ -120,34 +127,30 @@ def _cmd_limit(args) -> int:
         xi = limit_chain.sample_limit_batch(history[-1], rng)
         history.append(xi)
     kept = np.stack(history)[np.arange(args.burn_in, args.steps + 1)].T.tolist()
-    rows = []
-    payload = []
-    for p, series in enumerate(kept):
-        for off, v in enumerate(series):
-            rows.append(f"{p},{args.burn_in + off},{v!r}")
-        payload.append({"path": p, "first_index": args.burn_in, "xi": series})
-    return _write(args, "path,i,xi", rows, payload)
+    if args.format == "json":
+        return _write_json(args, [
+            {"path": p, "first_index": args.burn_in, "xi": series}
+            for p, series in enumerate(kept)])
+    return _write_csv(args, "path,i,xi", (
+        f"{p},{i},{v!r}" for p, series in enumerate(kept)
+        for i, v in enumerate(series, start=args.burn_in)))
 
 
 def _cmd_wn(args) -> int:
-    law = limit_chain.wn_pmf(args.n)
-    pmf = law.pmf_float()
+    pmf = limit_chain.wn_pmf(args.n).pmf_float().tolist()
     s_grid = np.linspace(0.2, 2.0, 181)
-    s_kept, rel = limit_chain.wn_local_limit_error(args.n, s_grid)
-    payload = {"n": args.n,
-               "pmf": [float(p) for p in pmf],
-               "local_limit_s": [float(s) for s in s_kept],
-               "local_limit_rel_err": [float(e) for e in rel]}
-    rows = [f"pmf,{k},{p!r}" for k, p in enumerate(payload["pmf"])]
-    rows += [f"local_limit,{s!r},{e!r}" for s, e in
-             zip(payload["local_limit_s"], payload["local_limit_rel_err"])]
-    return _write(args, "kind,index,value", rows, payload)
+    s_kept, rel = (v.tolist() for v in limit_chain.wn_local_limit_error(args.n, s_grid))
+    if args.format == "json":
+        return _write_json(args, {"n": args.n, "pmf": pmf, "local_limit_s": s_kept,
+                                  "local_limit_rel_err": rel})
+    return _write_csv(args, "kind,index,value", [
+        *(f"pmf,{k},{p!r}" for k, p in enumerate(pmf)),
+        *(f"local_limit,{s!r},{e!r}" for s, e in zip(s_kept, rel))])
 
 
 def _cmd_pmf(args) -> int:
     if args.kind == "rank":
-        probs = ra_chain.r_pmf_vector(args.r, args.a)
-        first = 1
+        probs = ra_chain.r_pmf_vector(args.r, args.a).tolist()
     else:
         # Position law after the rank step: --r is the newly attained rank,
         # so the prior state held rank r - 1 at position a.
@@ -155,14 +158,13 @@ def _cmd_pmf(args) -> int:
             raise ValueError("position law needs --r >= 2 (a freshly "
                              "attained rank is always at least 2)")
         prior = ra_chain.RAState(args.r - 1, args.a)
-        probs = np.array([ra_chain.a_pmf(prior, args.r, y)
-                          for y in range(1, args.cutoff + 1)])
-        first = 1
-    payload = {"kind": args.kind, "r": args.r, "a": args.a,
-               "first_offset": first,
-               "probs": [float(p) for p in probs]}
-    rows = [f"{first + i},{p!r}" for i, p in enumerate(payload["probs"])]
-    return _write(args, "x,prob", rows, payload)
+        probs = [ra_chain.a_pmf(prior, args.r, y)
+                 for y in range(1, args.cutoff + 1)]
+    if args.format == "json":
+        return _write_json(args, {"kind": args.kind, "r": args.r, "a": args.a,
+                                  "first_offset": 1, "probs": probs})
+    return _write_csv(args, "x,prob",
+                      (f"{x},{p!r}" for x, p in enumerate(probs, start=1)))
 
 
 def _cmd_verify(args) -> int:

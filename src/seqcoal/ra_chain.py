@@ -62,6 +62,23 @@ _SCAN_LIMIT = 10**6
 # OverflowError rather than compute with inf or NaN.
 _FLOAT_LIMIT = 1e300
 
+# Every integer below this is an exact double.
+_EXACT_DOUBLE = 2**53
+
+# Rank-law products of this many ratios or more are multiplied by
+# np.cumprod, shorter ones by the Python loop, which costs less to set up.
+# On a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), r_tail at (300, 1e9) took
+# 1.2 us in the loop against 7.8 us in numpy at x = 8, 8.2 against 11.5 us
+# at x = 64, 10.3 against 8.4 us at x = 128 and 97 against 17 us at
+# x = 1000.  Verify criterion 4 (x up to 2000) took 20.8 ms per call with
+# the loop alone, 15.9 ms with numpy for every product and 11.1 ms with
+# this cutoff.
+_CUMPROD_MIN = 64
+
+# Ratios per np.cumprod call, so that a long product never holds more than
+# this many terms (512 KB) in memory at once.
+_CUMPROD_BLOCK = 2**16
+
 
 @dataclass
 class RAState:
@@ -120,15 +137,18 @@ def r_pmf(state: RAState, x, form: str = "product") -> float:
     binomial-coefficient ratio C(2a, a-r-x)/C(2a, a-r-1) scaled by
     (2r+2x)/(a+r+1), exactly for a <= 1e4 and as a falling-factorial ratio
     beyond.  Their agreement is itself a verified invariant.
+
+    The product form multiplies the survival ratios onto the absorption
+    factor one at a time, in the order of k (see _ratio_product).  With
+    a + r + x < 2^53 every term is an exact double, so each ratio and each
+    product is rounded once, and the value is the same bits whether the
+    product runs in numpy or in the loop.
     """
     r, a = state.r, state.a
     if x < 1 or x > a - r:
         return 0.0
     if form == "product":
-        acc = (2.0 * r + 2.0 * x) / (a + r + x)
-        for k in range(1, x):
-            acc *= (a - r - k) / (a + r + k)
-        return acc
+        return _ratio_product((2.0 * r + 2.0 * x) / (a + r + x), r, a, x)
     if form == "binomial":
         if a <= 10**4:
             ratio = Fraction(math.comb(2 * a, a - r - x), math.comb(2 * a, a - r - 1))
@@ -141,15 +161,52 @@ def r_pmf(state: RAState, x, form: str = "product") -> float:
 
 
 def r_tail(state: RAState, x) -> float:
-    """P(next rank >= r + x); equals 1 for x <= 1, 0 past the support."""
+    """P(next rank >= r + x); equals 1 for x <= 1, 0 past the support.
+
+    The product of the ratios (a-r-k)/(a+r+k), k = 1..x-1, taken in the
+    order of k (see _ratio_product).  With a + r + x < 2^53 every term is
+    an exact double, so each ratio and each product is rounded once, and
+    the value is the same bits whether the product runs in numpy or in the
+    loop.
+    """
     r, a = state.r, state.a
     if x <= 1:
         return 1.0
     if x > a - r:
         return 0.0
-    acc = 1.0
+    return _ratio_product(1.0, r, a, x)
+
+
+def _rank_terms(start, r, a, k0, k1) -> np.ndarray:
+    """[start, q_k0, ..., q_{k1-1}] with q_k = (a-r-k)/(a+r+k), in float64:
+    its cumulative product multiplies the rank law's survival ratios onto
+    start in the order of k."""
+    k = np.arange(k0, k1, dtype=float)
+    return np.concatenate(([start], (a - r - k) / (a + r + k)))
+
+
+def _ratio_product(start, r, a, x):
+    """start * prod_{k=1}^{x-1} (a-r-k)/(a+r+k), multiplied in the order of k.
+
+    With _CUMPROD_MIN ratios or more and a + r + x < 2^53, the terms go
+    into arrays of up to _CUMPROD_BLOCK ratios, each headed by the product
+    so far, and np.cumprod multiplies them.  There every a-r-k and a+r+k is
+    an exact double, and numpy rounds the same divisions and the same
+    multiplies, in the same order, as the loop, so the value is the loop's
+    to the bit.  Elsewhere the loop runs, with a - r and a + r hoisted:
+    short products, integers past 2^53 (whose a-r-k is exact only as an
+    integer) and the float continuation.
+    """
+    if x > _CUMPROD_MIN and a + r + x < _EXACT_DOUBLE:
+        acc = start
+        for k0 in range(1, x, _CUMPROD_BLOCK):
+            terms = _rank_terms(acc, r, a, k0, min(k0 + _CUMPROD_BLOCK, x))
+            acc = float(np.cumprod(terms)[-1])
+        return acc
+    lo, hi = a - r, a + r
+    acc = start
     for k in range(1, x):
-        acc *= (a - r - k) / (a + r + k)
+        acc *= (lo - k) / (hi + k)
     return acc
 
 
@@ -157,19 +214,17 @@ def r_pmf_vector(r, a, max_x: int | None = None) -> np.ndarray:
     """pmf over x = 1..min(a-r, max_x), via one cumulative product."""
     _check_state(r, a)
     width = a - r if max_x is None else min(a - r, max_x)
-    k = np.arange(1, width, dtype=float)
-    survival = np.concatenate([[1.0], np.cumprod((a - r - k) / (a + r + k))])
+    survival = np.cumprod(_rank_terms(1.0, r, a, 1, width))
     x = np.arange(1, width + 1, dtype=float)
     return survival * (2.0 * r + 2.0 * x) / (a + r + x)
 
 
 def r_tail_vector(r, a, max_x: int | None = None) -> np.ndarray:
-    """Tails for x = 1..min(a-r, max_x)+1; over the full support the final
-    entry is exactly 0."""
+    """Tails for x = 1..min(a-r, max_x)+1, by the cumulative product of
+    r_tail; over the full support the final entry is exactly 0."""
     _check_state(r, a)
     width = a - r if max_x is None else min(a - r, max_x)
-    k = np.arange(1, width + 1, dtype=float)
-    return np.concatenate([[1.0], np.cumprod((a - r - k) / (a + r + k))])
+    return np.cumprod(_rank_terms(1.0, r, a, 1, width + 1))
 
 
 def r_pmf_exact(state: RAState, x) -> Fraction:
@@ -416,6 +471,24 @@ def sample_a_next(state: RAState, r_next, rng: np.random.Generator):
     return a + math.floor(z) + 1.0
 
 
+def _position_offsets(c, rng: np.random.Generator) -> np.ndarray:
+    """Offsets y = floor(c(1-u)/u) + 1 of the next positions, one per entry
+    of the float array c = a + r_next: the array form of sample_a_next.
+
+    One uniform array is drawn; u == 0 is redrawn, and so is every u whose
+    c(1-u)/u overflows, lane by lane, as in sample_a_next.
+    """
+    u = nonzero_uniform(rng, c.size)
+    with np.errstate(over="ignore"):
+        z = c * (1.0 - u) / u
+        bad = ~np.isfinite(z)
+        while bad.any():
+            u = nonzero_uniform(rng, int(bad.sum()))
+            z[bad] = c[bad] * (1.0 - u) / u
+            bad = ~np.isfinite(z)
+    return np.floor(z) + 1.0
+
+
 def step(state: RAState, rng: np.random.Generator) -> RAState:
     """One transition of the record chain: rank first, then position."""
     r_next = sample_r_next(state, rng)
@@ -454,12 +527,13 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     (exact as integers up to 2^53, the double-precision continuation beyond),
     and the rank step is the guided inversion on log-gamma tails for every a,
     with no sequential scan; it follows the chain's law up to a = 1e300.
-    Per step it draws one uniform array for ranks, then one for positions.
-    Uniforms equal to 0 are redrawn, and so is every position uniform whose
-    offset c(1-u)/u overflows, as in sample_a_next.  A position above 1e300,
-    at the start or after some step, raises OverflowError; ln A grows by
-    about 1 per step, so from a small start that takes about 690 steps.  So
-    does a step at which some lane's rank stalls, r + x rounding back to r:
+    Per step it draws one uniform array for ranks, then one for positions
+    (_position_offsets).  Uniforms equal to 0 are redrawn, and so is every
+    position uniform whose offset c(1-u)/u overflows, as in sample_a_next.
+    A position above 1e300, at the start or after some step, raises
+    OverflowError; ln A grows by about 1 per step, so from a small start
+    that takes about 690 steps.  So does a step at which some lane's rank
+    stalls, r + x rounding back to r:
     that needs x below the spacing of floats at r, which from a small start
     has probability about 2^-51 per lane-step, but is certain from, say,
     (1e20, 1e22).
@@ -481,16 +555,8 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
                 f"a rank stalled at step {i}: r + x rounds back to r in the "
                 "floating-point continuation of the record chain")
         r = r_next
-        c = a + r
-        u = nonzero_uniform(rng, num_paths)
-        with np.errstate(over="ignore"):
-            z = c * (1.0 - u) / u
-            bad = ~np.isfinite(z)
-            while bad.any():
-                u = nonzero_uniform(rng, int(bad.sum()))
-                z[bad] = c[bad] * (1.0 - u) / u
-                bad = ~np.isfinite(z)
-            a = a + (np.floor(z) + 1.0)
+        with np.errstate(over="ignore"):  # a + y = inf fails the check below
+            a = a + _position_offsets(a + r, rng)
         if not np.all(a <= _FLOAT_LIMIT):
             raise OverflowError(
                 f"a position passed {_FLOAT_LIMIT:g} at step {i}: past the "

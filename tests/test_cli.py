@@ -51,10 +51,34 @@ def test_pebls_csv(capsys):
      "2127c12969a1383be46d3bb4c681fd7e93963028042f5ecb0bb6c47906f4388e"),
     (["pebls", "--format", "json"],
      "69a898b56e3f285c3d76c0ad9a66552cb9b4643b6db5e1d4741ab857c8afdcaa"),
-], ids=["simulate-csv", "pebls-csv", "simulate-json", "pebls-json"])
+    (["ra-sample"],
+     "3ab4cf9a71673a4c4b312cecdfcf7beec0d43173557d9767997a4c04642ec7b8"),
+    (["ra-sample", "--format", "json"],
+     "64fbec61796be239fc560ec4addc0eda0e8e99b7c99d0f4e02dbfb2d07048e8c"),
+    (["limit"],
+     "ba330e8776f56a897c02f0e01a9fb12b7a844eb2a83db187eb440c8848805376"),
+    (["limit", "--format", "json"],
+     "c0b4ba23b6dd3cdac56e5c46b580164dd74c3bb20b0d8217f930ba2a8578034b"),
+    (["wn"],
+     "ad78513a6db6edd46ab1b184ce069d1ef854816de8709253ab6cb8b2f4717242"),
+    (["wn", "--format", "json"],
+     "5149e9f186486c7fecf8f259e1578895a87229acef0977a4562c00db176c5985"),
+    (["pmf", "--r", "5", "--a", "40"],
+     "ed486ff27eb6de721cb8157d4d21933e7687a8e2834308f546bec5d766a9e8cb"),
+    (["pmf", "--r", "5", "--a", "40", "--format", "json"],
+     "1387ae1d16b7fa725c12ecd02f78bcbf2fc9bcfbfaab0aa0ea2e97cce5141cb1"),
+    (["pmf", "--r", "5", "--a", "40", "--kind", "position"],
+     "1ce637854e33288428d0897d6d2859ec1808a81bba567b66e9db5a316c5ba97d"),
+    (["pmf", "--r", "5", "--a", "40", "--kind", "position", "--format", "json"],
+     "4039e8b72eda3a67d05826541a887000d448f03682eeae7ddfc62e6fd0d8ae5a"),
+], ids=["simulate-csv", "pebls-csv", "simulate-json", "pebls-json",
+        "ra-sample-csv", "ra-sample-json", "limit-csv", "limit-json",
+        "wn-csv", "wn-json", "pmf-rank-csv", "pmf-rank-json",
+        "pmf-position-csv", "pmf-position-json"])
 def test_default_output_bytes_pinned(capsys, argv, digest):
     # sha256 of stdout at the default flags: any change to a draw, to the
-    # trajectory lists or to the writers breaks it
+    # trajectory lists or to the writers breaks it.  ra-sample writes
+    # positions past 2^53 as floats, so its CSV pins both formats of a state
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

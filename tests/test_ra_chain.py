@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqcoal import ra_chain
+from seqcoal import ra_chain, verify
 from seqcoal.numerics import log_gamma_diff
 from seqcoal.ra_chain import (EXACT_LIMIT, RAPath, RAState, a_pmf, a_pmf_exact,
                               a_tail, a_tail_exact, r_pmf,
@@ -161,6 +161,58 @@ def test_log_tail_matches_exact_recursion():
     got = ra_chain._log_r_tail(float(r), float(a), float(x))
     ref = math.log(want.numerator) - math.log(want.denominator)
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+def _loop_product(start, r, a, x):
+    """The rank-law product as a plain loop, one ratio at a time."""
+    acc = start
+    for k in range(1, x):
+        acc *= (a - r - k) / (a + r + k)
+    return acc
+
+
+def _assert_products_match_loop(r, a, xs):
+    st = RAState(r, a)
+    for x in xs:
+        assert r_tail(st, x) == _loop_product(1.0, r, a, x)
+        pmf_start = (2.0 * r + 2.0 * x) / (a + r + x)
+        assert r_pmf(st, x) == _loop_product(pmf_start, r, a, x)
+
+
+@pytest.mark.parametrize("cutoff", [0, ra_chain._CUMPROD_MIN, 10**9],
+                         ids=["numpy", "default", "loop"])
+def test_rank_products_match_the_loop_bit_for_bit(monkeypatch, cutoff):
+    # r_tail and the product-form r_pmf are the plain loop's exact bits,
+    # whichever path the cutoff sends a product down
+    m = ra_chain._CUMPROD_MIN
+    monkeypatch.setattr(ra_chain, "_CUMPROD_MIN", cutoff)
+    rng = stream(28, 0)
+    for _ in range(400):
+        a = int(10.0 ** rng.uniform(0.5, 9.0)) + 2
+        r = int(rng.integers(1, a))
+        x = int(rng.integers(1, min(a - r, 3000) + 1))
+        _assert_products_match_loop(r, a, [x])
+    # both sides of the default cutoff, the smallest product and the
+    # support edge, where the tail is 0 and the pmf its last term
+    for r, a in [(1, 10**5), (7, 2000), (999, 1000 + m + 2)]:
+        _assert_products_match_loop(r, a, [2, m, m + 1, m + 2, a - r])
+    # a product that spans several np.cumprod blocks
+    _assert_products_match_loop(300, 10**9, [2 * ra_chain._CUMPROD_BLOCK + 5])
+    # integers past 2^53, exact only in integer arithmetic, and float states
+    # of the continuation and below it
+    _assert_products_match_loop(5, 2**60, [2, 100, 3000])
+    _assert_products_match_loop(2**53 - 200, 2**53 - 3, [2, 150, 197])
+    _assert_products_match_loop(1e9, 1e20, [2, 100, 3000])
+    _assert_products_match_loop(3.0, 5000.0, [2, 100, 3000, 4997])
+
+
+def test_tail_criteria_details_pinned():
+    # c02 and c04 evaluate r_pmf and r_tail at x up to 2000 and read no seed
+    c02 = verify.run_criterion(2, 0).details
+    c04 = verify.run_criterion(4, 0).details
+    assert c02 == {"exact_states": 66, "grid_points": 193,
+                   "max_form_rel_diff": 6.13601e-15}
+    assert c04 == {"max_sum_defect": 1.9984e-15, "max_tail_minus_pmf": 1.11022e-16}
 
 
 # --- samplers ---------------------------------------------------------------
