@@ -86,14 +86,21 @@ def _exact_ints(X: np.ndarray) -> list:
     return np.where(small, ints, X.astype(object)).tolist()
 
 
+def _kept_states(args) -> np.ndarray:
+    """Indices of the states written out, --burn-in through --steps."""
+    if args.steps < 0 or args.burn_in < 0:
+        raise ValueError("--steps and --burn-in must be >= 0")
+    return np.arange(args.burn_in, args.steps + 1)
+
+
 def _cmd_ra_sample(args) -> int:
+    kept = _kept_states(args)
     rng = stream(args.seed, _NS_RA_SAMPLE, 0)
     R, A = ra_chain.sample_paths_batch(args.paths, args.steps, rng, start=(1, 2))
     if float(A[-1].max()) > _FLOAT_EXACT_LIMIT:
         sys.stderr.write(
             "note: some positions passed the exact integer range and continue "
             "in double precision (flagged continuation)\n")
-    kept = np.arange(args.burn_in, args.steps + 1)
     R, A = R[kept].T, A[kept].T
     first = args.burn_in + 1
     if args.format == "json":
@@ -120,13 +127,14 @@ def _cmd_ra_extract(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    kept = _kept_states(args)
     rng = stream(args.seed, _NS_LIMIT, 0)
     xi = exp_inverse(rng, args.paths)
     history = [xi]
     for _ in range(args.steps):
         xi = limit_chain.sample_limit_batch(history[-1], rng)
         history.append(xi)
-    kept = np.stack(history)[np.arange(args.burn_in, args.steps + 1)].T.tolist()
+    kept = np.stack(history)[kept].T.tolist()
     if args.format == "json":
         return _write_json(args, [
             {"path": p, "first_index": args.burn_in, "xi": series}
@@ -193,12 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coalescent record-chain simulation and verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, replicates=None, n=None, steps=None, burn_in=None,
-               paths=None):
+    def common(p, *, formats=True, replicates=None, n=None, steps=None,
+               burn_in=None, paths=None):
         p.add_argument("--seed", type=int, default=0,
                        help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if replicates is not None:
             p.add_argument("--replicates", type=int, default=replicates)
         if n is not None:
@@ -243,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows for the position law (its support is infinite)")
     p.set_defaults(fn=_cmd_pmf)
 
-    p = sub.add_parser("verify", help="run the cross-validation suite")
-    common(p)
+    p = sub.add_parser("verify", help="run the cross-validation suite "
+                                      "(one JSON report)")
+    common(p, formats=False)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--criteria", default=None,
                    help="comma-separated subset, e.g. 1,2,7")

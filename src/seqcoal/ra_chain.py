@@ -475,8 +475,12 @@ def _position_offsets(c, rng: np.random.Generator) -> np.ndarray:
     """Offsets y = floor(c(1-u)/u) + 1 of the next positions, one per entry
     of the float array c = a + r_next: the array form of sample_a_next.
 
-    One uniform array is drawn; u == 0 is redrawn, and so is every u whose
-    c(1-u)/u overflows, lane by lane, as in sample_a_next.
+    Every array position draw in the package goes through this helper:
+    sample_paths_batch, and verify criteria 5 and 6.  Criterion 5 checks
+    its frequencies against the exact law, and the unit tests pin
+    sample_a_next to it draw for draw on a shared stream.  One uniform
+    array is drawn; u == 0 is redrawn, and so is every u whose c(1-u)/u
+    overflows, lane by lane, as in sample_a_next.
     """
     u = nonzero_uniform(rng, c.size)
     with np.errstate(over="ignore"):
@@ -538,6 +542,8 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     has probability about 2^-51 per lane-step, but is certain from, say,
     (1e20, 1e22).
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     r0, a0 = start
     if a0 - r0 < 1:
         raise ValueError("need a - r >= 1 at the start")

@@ -24,6 +24,9 @@ __all__ = [
 # Global decision threshold: a statistical check passes when p > 0.001.
 PASS_THRESHOLD = 1e-3
 
+# The chi-square tests merge bins until each expects at least this count.
+_MIN_EXPECTED = 5.0
+
 # Named reference CDFs accepted by ks_one_sample.
 REFERENCE_CDFS = {
     "exp1": lambda x: -np.expm1(-np.maximum(x, 0.0)),
@@ -67,8 +70,7 @@ def _resolve_cdf(reference):
         raise ValueError(f"unknown reference CDF {reference!r}") from None
 
 
-def ks_one_sample(samples, reference, *, seed=None, threshold=PASS_THRESHOLD,
-                  params=None) -> TestReport:
+def ks_one_sample(samples, reference, *, seed=None, params=None) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a named or callable CDF.
 
     The p-value uses the asymptotic Kolmogorov distribution with the
@@ -86,11 +88,10 @@ def ks_one_sample(samples, reference, *, seed=None, threshold=PASS_THRESHOLD,
     p = float(kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d))
     merged = {"reference": name}
     merged.update(params or {})
-    return TestReport("ks_one_sample", d, p, p > threshold, n, seed, merged)
+    return TestReport("ks_one_sample", d, p, p > PASS_THRESHOLD, n, seed, merged)
 
 
-def ks_two_sample(first, second, *, seed=None, threshold=PASS_THRESHOLD,
-                  params=None) -> TestReport:
+def ks_two_sample(first, second, *, seed=None, params=None) -> TestReport:
     """Two-sample Kolmogorov-Smirnov test with the asymptotic p-value."""
     a = np.sort(np.asarray(first, dtype=float))
     b = np.sort(np.asarray(second, dtype=float))
@@ -103,12 +104,12 @@ def ks_two_sample(first, second, *, seed=None, threshold=PASS_THRESHOLD,
     d = float(np.max(np.abs(fa - fb)))
     en = math.sqrt(a.size * b.size / (a.size + b.size))
     p = float(kolmogorov((en + 0.12 + 0.11 / en) * d))
-    return TestReport("ks_two_sample", d, p, p > threshold,
+    return TestReport("ks_two_sample", d, p, p > PASS_THRESHOLD,
                       a.size + b.size, seed, params or {})
 
 
-def _merge_bins(counts, expected, min_expected):
-    """Fold bins left to right until each carries expected mass >= min_expected.
+def _merge_bins(counts, expected):
+    """Fold bins left to right until each carries expected mass >= _MIN_EXPECTED.
 
     A trailing underweight remainder is folded into the last emitted bin.
     Deterministic, so the same inputs always produce the same binning.
@@ -119,7 +120,7 @@ def _merge_bins(counts, expected, min_expected):
     for o, e in zip(counts, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = 0.0
@@ -134,11 +135,10 @@ def _merge_bins(counts, expected, min_expected):
     return np.asarray(merged_obs), np.asarray(merged_exp)
 
 
-def chi2_gof(counts, probs, *, min_expected=5.0, seed=None,
-             threshold=PASS_THRESHOLD, params=None) -> TestReport:
+def chi2_gof(counts, probs, *, seed=None, params=None) -> TestReport:
     """Chi-square goodness of fit of observed counts against given bin
     probabilities.  Bins are merged until every expected count reaches
-    min_expected; degrees of freedom are merged bins minus one."""
+    _MIN_EXPECTED; degrees of freedom are merged bins minus one."""
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if counts.shape != probs.shape:
@@ -148,7 +148,7 @@ def chi2_gof(counts, probs, *, min_expected=5.0, seed=None,
         raise ValueError("chi2_gof needs a positive total count")
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("bin probabilities must sum to 1")
-    obs, exp = _merge_bins(counts, total * probs, min_expected)
+    obs, exp = _merge_bins(counts, total * probs)
     if obs.size < 2:
         raise ValueError("fewer than two bins after merging")
     stat = float(np.sum((obs - exp) ** 2 / exp))
@@ -156,11 +156,10 @@ def chi2_gof(counts, probs, *, min_expected=5.0, seed=None,
     p = float(chdtrc(df, stat))
     merged = {"df": df, "bins": int(obs.size)}
     merged.update(params or {})
-    return TestReport("chi2_gof", stat, p, p > threshold, int(total), seed, merged)
+    return TestReport("chi2_gof", stat, p, p > PASS_THRESHOLD, int(total), seed, merged)
 
 
-def chi2_two_sample(counts_a, counts_b, *, min_expected=5.0, seed=None,
-                    threshold=PASS_THRESHOLD, params=None) -> TestReport:
+def chi2_two_sample(counts_a, counts_b, *, seed=None, params=None) -> TestReport:
     """Chi-square homogeneity test for two count vectors over shared bins."""
     ca = np.asarray(counts_a, dtype=float)
     cb = np.asarray(counts_b, dtype=float)
@@ -172,8 +171,8 @@ def chi2_two_sample(counts_a, counts_b, *, min_expected=5.0, seed=None,
     pooled = (ca + cb) / (na + nb)
     # Merge on the smaller sample's expected mass so both sides clear the floor.
     scale = min(na, nb)
-    keep_obs_a, keep_exp = _merge_bins(ca, scale * pooled, min_expected)
-    keep_obs_b, _ = _merge_bins(cb, scale * pooled, min_expected)
+    keep_obs_a, keep_exp = _merge_bins(ca, scale * pooled)
+    keep_obs_b, _ = _merge_bins(cb, scale * pooled)
     exp_a = keep_exp * (na / scale)
     exp_b = keep_exp * (nb / scale)
     if keep_obs_a.size < 2:
@@ -184,7 +183,7 @@ def chi2_two_sample(counts_a, counts_b, *, min_expected=5.0, seed=None,
     p = float(chdtrc(df, stat))
     merged = {"df": df, "bins": int(keep_obs_a.size)}
     merged.update(params or {})
-    return TestReport("chi2_two_sample", stat, p, p > threshold,
+    return TestReport("chi2_two_sample", stat, p, p > PASS_THRESHOLD,
                       int(na + nb), seed, merged)
 
 

@@ -113,6 +113,21 @@ def test_ra_sample_burn_in(capsys):
     assert lines[1].split(",")[1] == "4"
 
 
+@pytest.mark.parametrize("argv", [
+    ["ra-sample", "--paths", "1", "--steps", "4", "--burn-in", "-2"],
+    ["ra-sample", "--paths", "1", "--steps", "-1"],
+    ["limit", "--paths", "1", "--steps", "4", "--burn-in", "-2"],
+    ["limit", "--paths", "1", "--steps", "-1"],
+], ids=["ra-sample-burn-in", "ra-sample-steps", "limit-burn-in", "limit-steps"])
+def test_negative_steps_or_burn_in_exit_two(capsys, argv):
+    # a negative index would count back from the last state and write it
+    # again under an invented index
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --steps and --burn-in must be >= 0\n"
+
+
 def test_ra_sample_overflow_exits_two(capsys, monkeypatch):
     # the float continuation stops at ra_chain._FLOAT_LIMIT (1e300, reached
     # after about 690 steps); a low limit reaches the same exit in a few
@@ -243,6 +258,13 @@ def test_verify_single_criterion(capsys):
     assert "criterion  4" in err
     assert "pass" in err
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_has_no_format_flag():
+    # verify always writes one JSON report
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_verify_unknown_criterion(capsys):

@@ -312,12 +312,57 @@ def test_boundary_draws_against_mpmath_tails():
     assert np.array_equal(ra_chain._invert_rank(r, a, np.log(u)), x)
 
 
-def test_sample_r_next_batch_matches_scalar_stream():
-    r, a = 2, 9
-    batch = sample_r_next_batch(r, a, stream(21, 0), 500)
-    rng = stream(21, 0)
-    scalars = [sample_r_next(RAState(r, a), rng) for _ in range(500)]
-    assert batch.tolist() == scalars
+def _array_draws(kind, r, a, rng, size) -> list:
+    """The array form of a scalar sampler, on one uniform array."""
+    if kind == "rank":
+        return sample_r_next_batch(r, a, rng, size).tolist()
+    if kind == "guided":
+        x = ra_chain._invert_rank(np.full(size, float(r)), np.full(size, float(a)),
+                                  np.log(nonzero_uniform(rng, size)))
+        return [r + int(v) for v in x]
+    # position: offsets y from a, with c = a + r_next
+    y = ra_chain._position_offsets(np.full(size, float(a + r)), rng)
+    return [int(v) for v in y]
+
+
+def _scalar_draw(kind, r, a, rng):
+    if kind == "position":
+        return sample_a_next(RAState(1, a), r, rng) - a
+    return sample_r_next(RAState(r, a), rng)
+
+
+# Verify criterion 5 checks the frequencies of the array samplers only; the
+# scalar samplers are pinned to them here, draw for draw on shared streams.
+# Both invert each uniform exactly, so they must agree in every draw, not
+# only in law.  "rank" is the scalar scan against the batch tabulation at
+# the criterion's states, and (2, 9); "guided" the scalar path past
+# a = 1e6 against the lockstep kernel; "position" sample_a_next against
+# _position_offsets at the criterion's c = a + r_next = 4, 20 and 100.
+@pytest.mark.parametrize("kind,r,a,draws", [
+    pytest.param("rank", 1, 3, 10_000, id="rank-1-3"),
+    pytest.param("rank", 2, 7, 10_000, id="rank-2-7"),
+    pytest.param("rank", 5, 40, 10_000, id="rank-5-40"),
+    pytest.param("rank", 2, 9, 10_000, id="rank-2-9"),
+    pytest.param("guided", 10**3, 10**7, 300, id="guided-1e3-1e7"),
+    pytest.param("guided", 10**6, 10**12, 300, id="guided-1e6-1e12"),
+    pytest.param("position", 2, 2, 10_000, id="position-c4"),
+    pytest.param("position", 10, 10, 10_000, id="position-c20"),
+    pytest.param("position", 50, 50, 10_000, id="position-c100"),
+])
+def test_sample_r_next_batch_matches_scalar_stream(kind, r, a, draws):
+    array = _array_draws(kind, r, a, stream(21, r, a), draws)
+    rng = stream(21, r, a)
+    assert [_scalar_draw(kind, r, a, rng) for _ in range(draws)] == array
+
+
+def test_sampler_criterion_details_pinned():
+    # criterion 5's details at seed 0; the scalar samplers give the same counts
+    assert verify.run_criterion(5, 0).details == {
+        "draws_per_state": 1000000,
+        "p_position_c100": 0.847479, "p_position_c20": 0.940383,
+        "p_position_c4": 0.647423,
+        "p_rank_1_3": 0.128511, "p_rank_2_7": 0.223841,
+        "p_rank_5_40": 0.576519}
 
 
 def test_sample_r_next_frequencies():
@@ -459,6 +504,8 @@ def test_sample_paths_batch_shapes_and_invariants():
     assert np.all(A - R >= 1)
     with pytest.raises(ValueError):
         sample_paths_batch(4, 3, stream(25, 2), start=(2, 2))
+    with pytest.raises(ValueError):
+        sample_paths_batch(4, -1, stream(25, 2))
 
 
 def test_sample_paths_batch_redraws_like_scalar_samplers():
