@@ -50,7 +50,14 @@ def _write_json(args, payload) -> int:
     return 0
 
 
+def _at_least_one(flag: str, count: int):
+    """Reject a count below 1, which would write no rows at all."""
+    if count < 1:
+        raise ValueError(f"--{flag} must be >= 1")
+
+
 def _cmd_simulate(args) -> int:
+    _at_least_one("replicates", args.replicates)
     trajs = [kingman.simulate_kingman(args.n, stream(args.seed, _NS_SIMULATE, rep))
              for rep in range(args.replicates)]
     merges = [list(zip(t.times, t.block_a, t.block_b)) for t in trajs]
@@ -65,6 +72,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pebls(args) -> int:
+    _at_least_one("replicates", args.replicates)
     lengths = [kingman.build_pebls(args.n, stream(args.seed, _NS_PEBLS, rep))[0].lengths
                for rep in range(args.replicates)]
     if args.format == "json":
@@ -87,9 +95,13 @@ def _exact_ints(X: np.ndarray) -> list:
 
 
 def _kept_states(args) -> np.ndarray:
-    """Indices of the states written out, --burn-in through --steps."""
+    """Indices of the states written out, --burn-in through --steps, for
+    --paths paths."""
+    _at_least_one("paths", args.paths)
     if args.steps < 0 or args.burn_in < 0:
         raise ValueError("--steps and --burn-in must be >= 0")
+    if args.burn_in > args.steps:
+        raise ValueError("--burn-in must be <= --steps")
     return np.arange(args.burn_in, args.steps + 1)
 
 
@@ -114,6 +126,7 @@ def _cmd_ra_sample(args) -> int:
 
 
 def _cmd_ra_extract(args) -> int:
+    _at_least_one("replicates", args.replicates)
     pairs = [aldous.identify_ra(aldous.StickField(stream(args.seed, _NS_RA_EXTRACT, rep)),
                                 args.n)
              for rep in range(args.replicates)]
@@ -165,6 +178,7 @@ def _cmd_pmf(args) -> int:
         if args.r < 2:
             raise ValueError("position law needs --r >= 2 (a freshly "
                              "attained rank is always at least 2)")
+        _at_least_one("cutoff", args.cutoff)
         prior = ra_chain.RAState(args.r - 1, args.a)
         probs = [ra_chain.a_pmf(prior, args.r, y)
                  for y in range(1, args.cutoff + 1)]
@@ -185,7 +199,7 @@ def _cmd_verify(args) -> int:
     results = []
     for n in numbers:
         t0 = time.monotonic()
-        res = verify.run_criterion(n, args.seed, args.threads)
+        res = verify.run_criterion(n, args.seed)
         dt = time.monotonic() - t0
         status = "pass" if res.passed else "FAIL"
         sys.stderr.write(f"criterion {n:2d} {res.name:28s} {status}  {dt:7.2f}s\n")
@@ -255,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-validation suite "
                                       "(one JSON report)")
     common(p, formats=False)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--criteria", default=None,
                    help="comma-separated subset, e.g. 1,2,7")
     p.set_defaults(fn=_cmd_verify)

@@ -1,8 +1,7 @@
 """Deterministic random-stream derivation and shared sampling helpers.
 
 Every replicate, chunk, and subcommand owns a generator derived from the
-master seed and an integer path, so output never depends on scheduling or
-on how work was partitioned across threads.
+master seed and a fixed integer path, so output depends only on the seed.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
 """Cross-validation suite: every closed-form law against an independent
 route, at fixed seeds, with a deterministic JSON report.
 
-Work is split into 64 fixed chunks regardless of thread count, each chunk
-seeded by its own derived stream, and chunk results are merged in index
-order, so the report bytes depend only on the master seed.
+Work is split into 64 fixed chunks, each seeded by its own derived stream
+and run in index order, so the report bytes depend only on the master
+seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +19,7 @@ from . import aldous, kingman, limit_chain, ra_chain
 from .stats import chi2_gof, chi2_two_sample, ks_one_sample, ks_two_sample, tv_distance
 from .streams import exp_inverse, stream
 
-__all__ = ["CriterionResult", "run_criterion", "run_all", "json_report",
-           "CRITERIA"]
+__all__ = ["CriterionResult", "run_criterion", "json_report", "CRITERIA"]
 
 _CHUNKS = 64
 
@@ -43,21 +41,10 @@ def _chunk_sizes(total: int) -> list:
     return [base + (1 if c < rem else 0) for c in range(_CHUNKS)]
 
 
-def _map_chunks(fn, total: int, threads: int, seed: int, *path) -> list:
-    """Apply fn(rng, size, chunk_index) over the 64 fixed chunks, in order.
-
-    The chunk partition and per-chunk streams never depend on `threads`,
-    only the executor width does.
-    """
-    sizes = _chunk_sizes(total)
-
-    def one(c):
-        return fn(stream(seed, *path, c), sizes[c], c)
-
-    if threads <= 1:
-        return [one(c) for c in range(_CHUNKS)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(one, range(_CHUNKS)))
+def _map_chunks(fn, total: int, seed: int, *path) -> list:
+    """Apply fn(rng, size) over the 64 fixed chunks, in order."""
+    return [fn(stream(seed, *path, c), size)
+            for c, size in enumerate(_chunk_sizes(total))]
 
 
 def _round6(x) -> float:
@@ -79,18 +66,18 @@ def _a1_bin(values: np.ndarray) -> np.ndarray:
     return np.bincount(clipped - 2, minlength=_A1_TOP)
 
 
-def c01_first_record_law(seed: int, threads: int) -> CriterionResult:
+def c01_first_record_law(seed: int) -> CriterionResult:
     total = 10**6
     # values 2..50 individually, then the exact tail P(A1 >= 51)
     probs = np.array([2.0 / (n * (n + 1)) for n in range(2, _A1_TOP + 1)]
                      + [2.0 / (_A1_TOP + 1)])
 
     closed = sum(_map_chunks(
-        lambda rng, size, c: _a1_bin(ra_chain.sample_a1(rng, size)),
-        total, threads, seed, 1, 0))
+        lambda rng, size: _a1_bin(ra_chain.sample_a1(rng, size)),
+        total, seed, 1, 0))
     field = sum(_map_chunks(
-        lambda rng, size, c: _a1_bin(aldous.batch_first_record(size, rng, _A1_TOP + 1)),
-        total, threads, seed, 1, 1))
+        lambda rng, size: _a1_bin(aldous.batch_first_record(size, rng, _A1_TOP + 1)),
+        total, seed, 1, 1))
 
     rep_closed = chi2_gof(closed, probs, seed=seed, params={"route": "closed"})
     rep_field = chi2_gof(field, probs, seed=seed, params={"route": "field"})
@@ -128,7 +115,7 @@ def _x_probe(r, a) -> list:
     return sorted(x for x in probe if 1 <= x <= width)
 
 
-def c02_rank_transition_exact(seed: int, threads: int) -> CriterionResult:
+def c02_rank_transition_exact(seed: int) -> CriterionResult:
     exact_states = 0
     for a in range(2, 13):
         for r in range(1, a):
@@ -168,7 +155,7 @@ def c02_rank_transition_exact(seed: int, threads: int) -> CriterionResult:
 _Y_CUTOFF = 64
 
 
-def c03_position_transition_exact(seed: int, threads: int) -> CriterionResult:
+def c03_position_transition_exact(seed: int) -> CriterionResult:
     states = 0
     for c in range(3, 1001):
         r_next = c // 3 + 1
@@ -205,7 +192,7 @@ def c03_position_transition_exact(seed: int, threads: int) -> CriterionResult:
 # criterion 4: tail identities on the same grids
 
 
-def c04_tail_identities(seed: int, threads: int) -> CriterionResult:
+def c04_tail_identities(seed: int) -> CriterionResult:
     worst_diff = 0.0
     worst_sum = 0.0
     for r, a in _log_grid_states():
@@ -249,7 +236,7 @@ def c04_tail_identities(seed: int, threads: int) -> CriterionResult:
 # criterion 5: sampler frequencies against exact pmfs
 
 
-def c05_sampler_frequencies(seed: int, threads: int) -> CriterionResult:
+def c05_sampler_frequencies(seed: int) -> CriterionResult:
     """The array samplers, each uniform inverted exactly; the scalar
     samplers are pinned to them draw for draw in the unit tests."""
     total = 10**6
@@ -257,10 +244,10 @@ def c05_sampler_frequencies(seed: int, threads: int) -> CriterionResult:
     passed = True
 
     for idx, (r, a) in enumerate(((1, 3), (2, 7), (5, 40))):
-        def draw(rng, size, c, r=r, a=a):
+        def draw(rng, size, r=r, a=a):
             draws = ra_chain.sample_r_next_batch(r, a, rng, size)
             return np.bincount(draws - r - 1, minlength=a - r)
-        counts = sum(_map_chunks(draw, total, threads, seed, 5, idx))
+        counts = sum(_map_chunks(draw, total, seed, 5, idx))
         rep = chi2_gof(counts, ra_chain.r_pmf_vector(r, a), seed=seed,
                        params={"state": [r, a]})
         details[f"p_rank_{r}_{a}"] = _round6(rep.p_value)
@@ -270,11 +257,11 @@ def c05_sampler_frequencies(seed: int, threads: int) -> CriterionResult:
     for idx, c_val in enumerate((4, 20, 100)):
         a, r_next = c_val - c_val // 2, c_val // 2
 
-        def draw(rng, size, ch, c_val=c_val):
+        def draw(rng, size, c_val=c_val):
             y = ra_chain._position_offsets(np.full(size, float(c_val)), rng)
             return np.bincount(np.minimum(y, cutoff + 1).astype(np.int64) - 1,
                                minlength=cutoff + 1)
-        counts = sum(_map_chunks(draw, total, threads, seed, 5, 10 + idx))
+        counts = sum(_map_chunks(draw, total, seed, 5, 10 + idx))
         prior = ra_chain.RAState(1, a)
         probs = np.array([ra_chain.a_pmf(prior, r_next, y)
                           for y in range(1, cutoff + 1)]
@@ -298,7 +285,7 @@ def _joint_key(r, a):
     return r * (_JOINT_CAP + 1) + a
 
 
-def _chain_joint_chunk(rng, size, c) -> np.ndarray:
+def _chain_joint_chunk(rng, size) -> np.ndarray:
     a1 = ra_chain.sample_a1(rng, size)
     r2 = np.zeros(size, dtype=np.int64)
     for a_val in range(2, _JOINT_CAP + 1):
@@ -313,7 +300,7 @@ def _chain_joint_chunk(rng, size, c) -> np.ndarray:
                        minlength=(_JOINT_CAP + 1) * (_JOINT_CAP + 1))
 
 
-def _field_joint_chunk(rng, size, c) -> np.ndarray:
+def _field_joint_chunk(rng, size) -> np.ndarray:
     counts = np.zeros((_JOINT_CAP + 1) * (_JOINT_CAP + 1), dtype=np.int64)
     for child in rng.spawn(size):
         field = aldous.StickField(child)
@@ -323,10 +310,10 @@ def _field_joint_chunk(rng, size, c) -> np.ndarray:
     return counts
 
 
-def c06_cross_route_joint(seed: int, threads: int) -> CriterionResult:
+def c06_cross_route_joint(seed: int) -> CriterionResult:
     total = 10**5
-    chain = sum(_map_chunks(_chain_joint_chunk, total, threads, seed, 6, 0))
-    field = sum(_map_chunks(_field_joint_chunk, total, threads, seed, 6, 1))
+    chain = sum(_map_chunks(_chain_joint_chunk, total, seed, 6, 0))
+    field = sum(_map_chunks(_field_joint_chunk, total, seed, 6, 1))
     support = np.flatnonzero((chain > 0) | (field > 0))
     rep = chi2_two_sample(chain[support], field[support], seed=seed,
                           params={"truncation": _JOINT_CAP})
@@ -342,7 +329,7 @@ def c06_cross_route_joint(seed: int, threads: int) -> CriterionResult:
 # criterion 7: record-value law summaries
 
 
-def c07_record_value_law(seed: int, threads: int) -> CriterionResult:
+def c07_record_value_law(seed: int) -> CriterionResult:
     for n in range(1, 201):
         lhs = sum(k * math.comb(2 * n, k) for k in range(n + 1))
         if lhs != n * 2**(2 * n - 1):
@@ -384,14 +371,14 @@ def c07_record_value_law(seed: int, threads: int) -> CriterionResult:
 # criterion 8: stationarity of the limit chain
 
 
-def c08_limit_stationarity(seed: int, threads: int) -> CriterionResult:
+def c08_limit_stationarity(seed: int) -> CriterionResult:
     total = 10**6
 
-    def one_step(rng, size, c):
+    def one_step(rng, size):
         xi0 = exp_inverse(rng, size)
         return limit_chain.sample_limit_batch(xi0, rng)
 
-    parts = _map_chunks(one_step, total, threads, seed, 8, 0)
+    parts = _map_chunks(one_step, total, seed, 8, 0)
     xi1 = np.concatenate(parts)
 
     details = {}
@@ -409,9 +396,9 @@ def c08_limit_stationarity(seed: int, threads: int) -> CriterionResult:
     passed = passed and rep.passed
 
     for idx, x0 in enumerate((0.0, 1.0, 5.0)):
-        def cond(rng, size, c, x0=x0):
+        def cond(rng, size, x0=x0):
             return limit_chain.sample_limit_batch(np.full(size, x0), rng)
-        draws = np.concatenate(_map_chunks(cond, total, threads, seed, 8, 1 + idx))
+        draws = np.concatenate(_map_chunks(cond, total, seed, 8, 1 + idx))
         mean = float(draws.mean())
         se = float(draws.std(ddof=1)) / math.sqrt(total)
         z = (mean - (x0 + 1.0) / 2.0) / se
@@ -425,18 +412,18 @@ def c08_limit_stationarity(seed: int, threads: int) -> CriterionResult:
 # criteria 9 and 10: convergence of the rescaled chain, and tightness
 
 
-def c09_rescaled_convergence(seed: int, threads: int) -> CriterionResult:
+def c09_rescaled_convergence(seed: int) -> CriterionResult:
     total = 10**5
     steps = 26  # states 1..27; burn-in 25 leaves states 26, 27
 
-    def chunk(rng, size, c):
+    def chunk(rng, size):
         R, A = ra_chain.sample_paths_batch(size, steps, rng, start=(1, 2))
         xi_a = R[25] ** 2 / A[25]
         xi_b = R[26] ** 2 / A[26]
         eta = np.log(A[25] / A[24])
         return xi_a, xi_b, eta
 
-    parts = _map_chunks(chunk, total, threads, seed, 9, 0)
+    parts = _map_chunks(chunk, total, seed, 9, 0)
     xi_a = np.concatenate([p[0] for p in parts])
     xi_b = np.concatenate([p[1] for p in parts])
     eta = np.concatenate([p[2] for p in parts])
@@ -449,12 +436,12 @@ def c09_rescaled_convergence(seed: int, threads: int) -> CriterionResult:
 
     limit_total = 10**6
 
-    def limit_pairs(rng, size, c):
+    def limit_pairs(rng, size):
         xi0 = exp_inverse(rng, size)
         xi1 = limit_chain.sample_limit_batch(xi0, rng)
         return xi0, xi1
 
-    lp = _map_chunks(limit_pairs, limit_total, threads, seed, 9, 1)
+    lp = _map_chunks(limit_pairs, limit_total, seed, 9, 1)
     l0 = np.concatenate([p[0] for p in lp])
     l1 = np.concatenate([p[1] for p in lp])
     rho_limit = float(np.corrcoef(l0, l1)[0, 1])
@@ -472,15 +459,15 @@ def c09_rescaled_convergence(seed: int, threads: int) -> CriterionResult:
     })
 
 
-def c10_rank_tightness(seed: int, threads: int) -> CriterionResult:
+def c10_rank_tightness(seed: int) -> CriterionResult:
     total = 10**5
     steps = 29  # states 1..30
 
-    def chunk(rng, size, c):
+    def chunk(rng, size):
         R, A = ra_chain.sample_paths_batch(size, steps, rng, start=(1, 2))
         return (R / np.sqrt(A)).sum(axis=1)
 
-    parts = _map_chunks(chunk, total, threads, seed, 10, 0)
+    parts = _map_chunks(chunk, total, seed, 10, 0)
     sums = np.zeros(steps + 1)
     for i in range(steps + 1):
         sums[i] = math.fsum(float(p[i]) for p in parts)
@@ -500,14 +487,14 @@ _MRCA_N = 10
 _MRCA_MEAN = 2.0 * (1.0 - 1.0 / _MRCA_N)
 
 
-def _mrca_direct_chunk(rng, size, c):
+def _mrca_direct_chunk(rng, size):
     out = np.empty(size)
     for i in range(size):
         out[i] = kingman.time_to_mrca(kingman.simulate_kingman(_MRCA_N, rng))
     return out
 
 
-def _mrca_recursive_chunk(rng, size, c):
+def _mrca_recursive_chunk(rng, size):
     out = np.empty(size)
     for i in range(size):
         _, traj = kingman.build_pebls(_MRCA_N, rng)
@@ -515,7 +502,7 @@ def _mrca_recursive_chunk(rng, size, c):
     return out
 
 
-def _mrca_reconstructed_chunk(rng, size, c):
+def _mrca_reconstructed_chunk(rng, size):
     out = np.empty(size)
     for i in range(size):
         pebls, _ = kingman.build_pebls(_MRCA_N, rng)
@@ -524,7 +511,7 @@ def _mrca_reconstructed_chunk(rng, size, c):
     return out
 
 
-def c11_construction_equivalence(seed: int, threads: int) -> CriterionResult:
+def c11_construction_equivalence(seed: int) -> CriterionResult:
     total = 10**5
     routes = {
         "direct": _mrca_direct_chunk,
@@ -535,7 +522,7 @@ def c11_construction_equivalence(seed: int, threads: int) -> CriterionResult:
     details = {}
     passed = True
     for idx, (name, fn) in enumerate(routes.items()):
-        vals = np.concatenate(_map_chunks(fn, total, threads, seed, 11, idx))
+        vals = np.concatenate(_map_chunks(fn, total, seed, 11, idx))
         samples[name] = vals
         mean = float(vals.mean())
         se = float(vals.std(ddof=1)) / math.sqrt(total)
@@ -571,14 +558,8 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int, seed: int, threads: int = 1) -> CriterionResult:
-    return CRITERIA[number](seed, threads)
-
-
-def run_all(seed: int, threads: int = 1, numbers=None) -> list:
-    if numbers is None:
-        numbers = sorted(CRITERIA)
-    return [run_criterion(n, seed, threads) for n in numbers]
+def run_criterion(number: int, seed: int) -> CriterionResult:
+    return CRITERIA[number](seed)
 
 
 def json_report(results: list, seed: int) -> str:

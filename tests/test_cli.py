@@ -128,6 +128,32 @@ def test_negative_steps_or_burn_in_exit_two(capsys, argv):
     assert err == "error: --steps and --burn-in must be >= 0\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["ra-sample", "--steps", "2", "--burn-in", "5"], "--burn-in must be <= --steps"),
+    (["limit", "--steps", "2", "--burn-in", "5"], "--burn-in must be <= --steps"),
+    (["ra-sample", "--paths", "0"], "--paths must be >= 1"),
+    (["limit", "--paths", "0"], "--paths must be >= 1"),
+    (["simulate", "--replicates", "0"], "--replicates must be >= 1"),
+    (["simulate", "--replicates", "-1"], "--replicates must be >= 1"),
+    (["pebls", "--replicates", "0"], "--replicates must be >= 1"),
+    (["pebls", "--replicates", "-1"], "--replicates must be >= 1"),
+    (["ra-extract", "--replicates", "0"], "--replicates must be >= 1"),
+    (["ra-extract", "--replicates", "-1"], "--replicates must be >= 1"),
+    (["pmf", "--r", "5", "--a", "40", "--kind", "position", "--cutoff", "0"],
+     "--cutoff must be >= 1"),
+], ids=["ra-sample-burn-in-past-steps", "limit-burn-in-past-steps",
+        "ra-sample-paths-0", "limit-paths-0", "simulate-replicates-0",
+        "simulate-replicates-neg", "pebls-replicates-0", "pebls-replicates-neg",
+        "ra-extract-replicates-0", "ra-extract-replicates-neg",
+        "pmf-position-cutoff-0"])
+def test_empty_counts_exit_two(capsys, argv, message):
+    # each of these would write a header and no rows, or fail inside numpy
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_ra_sample_overflow_exits_two(capsys, monkeypatch):
     # the float continuation stops at ra_chain._FLOAT_LIMIT (1e300, reached
     # after about 690 steps); a low limit reaches the same exit in a few
@@ -260,10 +286,12 @@ def test_verify_single_criterion(capsys):
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def test_verify_has_no_format_flag():
-    # verify always writes one JSON report
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--threads", "2"]],
+                         ids=["format", "threads"])
+def test_verify_has_no_format_flag(flag):
+    # verify always writes one JSON report, and runs its chunks in order
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--format", "csv"])
+        main(["verify", *flag])
     assert exc.value.code == 2
 
 
