@@ -170,15 +170,16 @@ def _cmd_wn(args) -> int:
 
 
 def _cmd_pmf(args) -> int:
+    _at_least_one("cutoff", args.cutoff)
     if args.kind == "rank":
-        probs = ra_chain.r_pmf_vector(args.r, args.a).tolist()
+        probs = ra_chain.r_pmf_vector(args.r, args.a,
+                                      max_x=args.cutoff).tolist()
     else:
         # Position law after the rank step: --r is the newly attained rank,
         # so the prior state held rank r - 1 at position a.
         if args.r < 2:
             raise ValueError("position law needs --r >= 2 (a freshly "
                              "attained rank is always at least 2)")
-        _at_least_one("cutoff", args.cutoff)
         prior = ra_chain.RAState(args.r - 1, args.a)
         probs = [ra_chain.a_pmf(prior, args.r, y)
                  for y in range(1, args.cutoff + 1)]
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--kind", choices=("rank", "position"), default="rank")
     p.add_argument("--cutoff", type=int, default=100,
-                   help="rows for the position law (its support is infinite)")
+                   help="most rows to write: the first x = 1..cutoff of "
+                        "either law (the position law's support is infinite)")
     p.set_defaults(fn=_cmd_pmf)
 
     p = sub.add_parser("verify", help="run the cross-validation suite "

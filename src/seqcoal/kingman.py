@@ -259,17 +259,20 @@ def invert_cumulative_hazard(traj: Trajectory, target: float) -> float:
     return _invert_hazard(traj.times, traj.n, target)
 
 
-def _add_individual(times: list, block_a: list, block_b: list, n: int,
-                    rng: np.random.Generator) -> int:
-    """The step of extend_recursive on a complete n-individual trajectory
-    held in parallel lists sorted by event time, done in place.  Returns the
-    index of the new event.  Each merge before L retired its block_b, so the
-    k-th live label is k + 1 stepped past the retired labels up to it."""
+def _draw_length(times: list, n: int, rng: np.random.Generator) -> float:
+    """Length of individual n + 1, redrawn while it ties an event time."""
     while True:
         length = _invert_hazard(times, n, exp_inverse(rng))
         pos = bisect_left(times, length)
         if pos == len(times) or times[pos] != length:
-            break
+            return length
+
+
+def _merge(times: list, block_a: list, block_b: list, n: int, length: float,
+           rng: np.random.Generator):
+    """Merge individual n + 1 at L, in place, into a uniform block just before
+    L: the k-th live label is k + 1 stepped past the labels retired by then."""
+    pos = bisect_left(times, length)
     label = int(rng.integers(n - pos)) + 1
     for b in sorted(block_b[:pos]):
         if b > label:
@@ -278,7 +281,6 @@ def _add_individual(times: list, block_a: list, block_b: list, n: int,
     times.insert(pos, length)
     block_a.insert(pos, label)
     block_b.insert(pos, n + 1)
-    return pos
 
 
 def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
@@ -293,20 +295,22 @@ def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
         raise ValueError("trajectory is not complete")
     times = list(traj.times)
     block_a, block_b = list(traj.block_a), list(traj.block_b)
-    pos = _add_individual(times, block_a, block_b, traj.n, rng)
-    return times[pos], _trusted(Trajectory, n=traj.n + 1, times=times,
-                                block_a=block_a, block_b=block_b)
+    length = _draw_length(times, traj.n, rng)
+    _merge(times, block_a, block_b, traj.n, length, rng)
+    return length, _trusted(Trajectory, n=traj.n + 1, times=times,
+                            block_a=block_a, block_b=block_b)
 
 
 def build_pebls(n_max: int, rng: np.random.Generator) -> tuple:
     """Grow a trajectory from a single individual up to n_max, collecting the
     length of each added individual.  Returns (length sequence, trajectory).
-    Runs the step of extend_recursive on the lists it hands over."""
+    Runs the two parts of extend_recursive on the lists it hands over."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     times, block_a, block_b, lengths = [], [], [], []
     for n in range(1, n_max):
-        lengths.append(times[_add_individual(times, block_a, block_b, n, rng)])
+        lengths.append(_draw_length(times, n, rng))
+        _merge(times, block_a, block_b, n, lengths[-1], rng)
     return (_trusted(PeblsSequence, n_max=n_max, lengths=lengths),
             _trusted(Trajectory, n=n_max, times=times, block_a=block_a,
                      block_b=block_b))
@@ -316,24 +320,19 @@ def reconstruct_from_pebls(pebls: PeblsSequence,
                            rng: np.random.Generator) -> Trajectory:
     """Rebuild a trajectory from per-individual lengths alone.
 
-    Individual n merges at its length L_n into the cluster of an eligible
-    partner j < n chosen uniformly among those with L_j > L_n (individual 1
-    always qualifies).  Replaying the merges in time order yields a valid
-    trajectory: just before L_n both n and its partner still head distinct
-    clusters, because each individual heads its cluster until its own length
-    and the partner's length exceeds L_n.  So the event is (L_n, partner, n).
+    Individual n merges at its length L_n into the cluster of a partner
+    drawn uniformly from 1 and every j < n with L_j > L_n: the live labels
+    just before L_n, from which the merge step of build_pebls draws when run
+    on the given lengths in order.  The result is a valid trajectory: just
+    before L_n both n and its partner still head distinct clusters, because
+    each individual heads its cluster until its own length and the
+    partner's length exceeds L_n.  So the event is (L_n, partner, n).
     """
-    lengths = pebls.lengths
-    partners = []
-    for n in range(2, pebls.n_max + 1):
-        ln = lengths[n - 2]
-        eligible = [1] + [i for i, v in zip(range(2, n), lengths) if v > ln]
-        partners.append(eligible[int(rng.integers(len(eligible)))])
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    return _trusted(Trajectory, n=pebls.n_max,
-                    times=[lengths[k] for k in order],
-                    block_a=[partners[k] for k in order],
-                    block_b=[k + 2 for k in order])
+    times, block_a, block_b = [], [], []
+    for n, length in enumerate(pebls.lengths, start=1):
+        _merge(times, block_a, block_b, n, length, rng)
+    return _trusted(Trajectory, n=pebls.n_max, times=times, block_a=block_a,
+                    block_b=block_b)
 
 
 def time_to_mrca(traj: Trajectory) -> float:

@@ -141,11 +141,12 @@ def test_negative_steps_or_burn_in_exit_two(capsys, argv):
     (["ra-extract", "--replicates", "-1"], "--replicates must be >= 1"),
     (["pmf", "--r", "5", "--a", "40", "--kind", "position", "--cutoff", "0"],
      "--cutoff must be >= 1"),
+    (["pmf", "--r", "5", "--a", "40", "--cutoff", "0"], "--cutoff must be >= 1"),
 ], ids=["ra-sample-burn-in-past-steps", "limit-burn-in-past-steps",
         "ra-sample-paths-0", "limit-paths-0", "simulate-replicates-0",
         "simulate-replicates-neg", "pebls-replicates-0", "pebls-replicates-neg",
         "ra-extract-replicates-0", "ra-extract-replicates-neg",
-        "pmf-position-cutoff-0"])
+        "pmf-position-cutoff-0", "pmf-rank-cutoff-0"])
 def test_empty_counts_exit_two(capsys, argv, message):
     # each of these would write a header and no rows, or fail inside numpy
     rc, out, err = run_cli(capsys, *argv)
@@ -232,6 +233,18 @@ def test_pmf_rank_frozen_rows(capsys):
     assert xs == ["1", "2"]
     assert ps[0] == 0.8
     assert ps[1] == pytest.approx(0.2, rel=1e-12)
+
+
+def test_pmf_rank_rows_stop_at_cutoff(capsys):
+    # the rank law's support is 1..a - r: the cutoff bounds the rows, so a
+    # huge position tabulates 5 rows, not about 1e12
+    rc, out, _ = run_cli(capsys, "pmf", "--r", "1", "--a", "1000000000000",
+                         "--cutoff", "5")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "x,prob"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["1", "2", "3", "4", "5"]
+    assert float(lines[1].split(",")[1]) == pytest.approx(4.0 / 1000000000002)
 
 
 def test_pmf_position_rows(capsys):

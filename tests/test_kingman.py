@@ -1,7 +1,9 @@
 """Coalescent trajectories, hazard inversion, and the sequential construction."""
 
+import functools
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from seqcoal.kingman import (Partition, PeblsSequence, Trajectory,
                              extend_recursive, invert_cumulative_hazard,
                              reconstruct_from_pebls, simulate_kingman,
                              time_to_mrca)
-from seqcoal.stats import chi2_gof, ks_one_sample
+from seqcoal.stats import chi2_gof, chi2_two_sample, ks_one_sample
 from seqcoal.streams import stream
 
 
@@ -170,6 +172,36 @@ def test_reconstruct_preserves_lengths_and_mrca():
     assert time_to_mrca(rebuilt) == time_to_mrca(built)
 
 
+def _reconstruct_by_eligible_lists(pebls, rng):
+    """The partner rule written out: individual n's partner is drawn
+    uniformly from the list of 1 and every j < n with L_j > L_n, and the
+    events are laid out by sorting the lengths."""
+    lengths = pebls.lengths
+    partners = []
+    for n in range(2, pebls.n_max + 1):
+        ln = lengths[n - 2]
+        eligible = [1] + [i for i, v in zip(range(2, n), lengths) if v > ln]
+        partners.append(eligible[int(rng.integers(len(eligible)))])
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    return Trajectory(pebls.n_max, [TrajectoryEvent(lengths[k], partners[k], k + 2)
+                                    for k in order])
+
+
+@pytest.mark.parametrize("n,seeds", [(1, 20), (2, 300), (3, 300), (10, 300),
+                                     (160, 30)])
+def test_reconstruct_matches_eligible_lists(n, seeds):
+    # the merge step draws the k-th live label just before L_n; the eligible
+    # list draws its k-th entry: on the same stream both give each partner,
+    # for the lengths of build_pebls and for the same lengths reversed
+    for seed in range(seeds):
+        pebls, _ = build_pebls(n, stream(36, n, seed, 0))
+        for lengths in (pebls.lengths, pebls.lengths[::-1]):
+            given = PeblsSequence(n, list(lengths))
+            assert (reconstruct_from_pebls(given, stream(36, n, seed, 1))
+                    == _reconstruct_by_eligible_lists(given,
+                                                      stream(36, n, seed, 1)))
+
+
 def test_trajectory_rejects_bad_labels():
     # label 0 lies outside 1..n: with it the one event would leave 2 blocks
     with pytest.raises(ValueError):
@@ -286,14 +318,15 @@ def _a1_counts(windows):
     return counts
 
 
-def test_window_law_on_build_pebls():
+@functools.cache
+def _pebls_windows():
     rng = stream(34, 0)
-    windows = (build_pebls(WINDOW_N, rng)[0].lengths
-               for _ in range(WINDOW_SAMPLES))
-    assert chi2_gof(_a1_counts(windows), _a1_pmf(WINDOW_N)).passed
+    return [build_pebls(WINDOW_N, rng)[0].lengths
+            for _ in range(WINDOW_SAMPLES)]
 
 
-def test_window_law_on_the_direct_route():
+@functools.cache
+def _direct_windows():
     # with blocks labelled by their minima, L_n is the time of the merge
     # that retires label n
     rng = stream(34, 1)
@@ -302,7 +335,37 @@ def test_window_law_on_the_direct_route():
         traj = simulate_kingman(WINDOW_N, rng)
         windows.append([traj.times[traj.block_b.index(m)]
                         for m in range(2, WINDOW_N + 1)])
-    assert chi2_gof(_a1_counts(windows), _a1_pmf(WINDOW_N)).passed
+    return windows
+
+
+def test_window_law_on_build_pebls():
+    assert chi2_gof(_a1_counts(_pebls_windows()), _a1_pmf(WINDOW_N)).passed
+
+
+def test_window_law_on_the_direct_route():
+    assert chi2_gof(_a1_counts(_direct_windows()), _a1_pmf(WINDOW_N)).passed
+
+
+def _window_cell(lengths):
+    """(A_1, A_2, window rank of L_{A_2}) with 0-based positions and rank 1
+    for the largest length; A_2 is the position of the largest length after
+    A_1, and (A_1, -1, 0) stands for a window with nothing after A_1."""
+    a1 = lengths.index(max(lengths))
+    rest = lengths[a1 + 1:]
+    if not rest:
+        return a1, -1, 0
+    a2 = a1 + 1 + rest.index(max(rest))
+    return a1, a2, 1 + sum(v > lengths[a2] for v in lengths)
+
+
+def test_window_statistic_agrees_between_routes():
+    # 221 cells at N = 12; the lengths of build_pebls check the hazard
+    # inversion, those of the direct route also check the choice of pair
+    built = Counter(map(_window_cell, _pebls_windows()))
+    direct = Counter(map(_window_cell, _direct_windows()))
+    cells = sorted(built.keys() | direct.keys())
+    assert chi2_two_sample([built[c] for c in cells],
+                           [direct[c] for c in cells]).passed
 
 
 # Root split: just before the last merge, individual 1's block holds K
@@ -331,12 +394,31 @@ def _reconstructed(rng):
     return reconstruct_from_pebls(build_pebls(SPLIT_N, rng)[0], rng)
 
 
-@pytest.mark.parametrize("route", [_direct, _recursive, _reconstructed],
-                         ids=["direct", "recursive", "reconstructed"])
-def test_root_split_law(route):
-    rng = stream(35, SPLIT_N)
+ROUTES = {"direct": _direct, "recursive": _recursive,
+          "reconstructed": _reconstructed}
+
+
+@functools.cache
+def _split_counts(name, *path):
+    rng = stream(35, SPLIT_N, *path)
     counts = np.zeros(SPLIT_N - 1)
     for _ in range(SPLIT_SAMPLES):
-        counts[_root_split(route(rng)) - 1] += 1
+        counts[_root_split(ROUTES[name](rng)) - 1] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_root_split_law(name):
     probs = [2 * k / (SPLIT_N * (SPLIT_N - 1)) for k in range(1, SPLIT_N)]
-    assert chi2_gof(counts, probs).passed
+    assert chi2_gof(_split_counts(name), probs).passed
+
+
+@pytest.mark.parametrize("one,other", [("direct", "recursive"),
+                                       ("direct", "reconstructed"),
+                                       ("recursive", "reconstructed")])
+def test_root_split_agrees_between_routes(one, other):
+    # two independent samples: each route on a stream of its own, where the
+    # one-sample tests run the three routes on one stream
+    index = list(ROUTES).index
+    assert chi2_two_sample(_split_counts(one, 1, index(one)),
+                           _split_counts(other, 1, index(other))).passed
