@@ -13,10 +13,9 @@ from .kingman import (Partition, PeblsSequence, Trajectory, TrajectoryEvent,
                       build_pebls, cumulative_hazard, extend_recursive,
                       invert_cumulative_hazard, reconstruct_from_pebls,
                       simulate_kingman, time_to_mrca)
-from .limit_chain import (LimitState, WnLaw, conditional_wn,
-                          rescaled_observables, sample_limit_batch,
-                          sample_limit_path, step_limit, wn_local_limit_error,
-                          wn_log_pmf, wn_pmf)
+from .limit_chain import (WnLaw, conditional_wn, rescaled_observables,
+                          sample_limit_batch, wn_local_limit_error, wn_log_pmf,
+                          wn_pmf)
 from .ra_chain import (EXACT_LIMIT, RAPath, RAState, a_pmf, a_pmf_exact,
                        a_tail, a_tail_exact, r_pmf, r_pmf_exact,
                        r_pmf_vector, r_tail, r_tail_exact, r_tail_vector,

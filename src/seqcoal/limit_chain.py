@@ -20,9 +20,6 @@ from .numerics import log_gamma_diff
 from .streams import exp_inverse
 
 __all__ = [
-    "LimitState",
-    "step_limit",
-    "sample_limit_path",
     "sample_limit_batch",
     "WnLaw",
     "wn_pmf",
@@ -35,54 +32,15 @@ __all__ = [
 _EXACT_WN_LIMIT = 10**4
 
 
-@dataclass
-class LimitState:
-    xi: float
-
-    def __post_init__(self):
-        if not (self.xi >= 0.0 and math.isfinite(self.xi)):
-            raise ValueError("xi must be finite and >= 0")
-
-
-def step_limit(state: LimitState, rng: np.random.Generator) -> LimitState:
-    """One transition: add an Exp(1) increment, damp by an Exp(1) log-factor.
-
-    Draws the increment first, then the damping exponent.
-    """
-    x = exp_inverse(rng)
-    eta = exp_inverse(rng)
-    return LimitState((state.xi + x) * math.exp(-eta))
-
-
-def sample_limit_path(start, steps: int, rng: np.random.Generator) -> list:
-    """Path of the limit chain as a list of xi values, length steps + 1.
-
-    start may be a LimitState, a number, or "stationary" to begin with an
-    Exp(1) draw (which the chain then preserves in law).
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if isinstance(start, str):
-        if start != "stationary":
-            raise ValueError(f"unknown start {start!r}")
-        state = LimitState(exp_inverse(rng))
-    elif isinstance(start, LimitState):
-        state = start
-    else:
-        state = LimitState(float(start))
-    xs = [state.xi]
-    for _ in range(steps):
-        state = step_limit(state, rng)
-        xs.append(state.xi)
-    return xs
-
-
 def sample_limit_batch(xi0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Advance many limit-chain states by one step in lockstep.
 
-    Draws the increment array first, then the damping array, mirroring the
-    scalar step's order within the call.
+    Draws the increment array X first, then the damping array eta, and
+    returns (xi0 + X) exp(-eta).  Raises ValueError unless every start is
+    finite and >= 0.
     """
+    if not np.all((xi0 >= 0.0) & (xi0 < np.inf)):
+        raise ValueError("xi must be finite and >= 0")
     x = exp_inverse(rng, xi0.shape[0])
     eta = exp_inverse(rng, xi0.shape[0])
     return (xi0 + x) * np.exp(-eta)
@@ -192,18 +150,22 @@ def conditional_wn(n: int, k: int) -> dict:
     return {j: Fraction(law.weights[j], total) for j in range(lo, n + 1)}
 
 
-def rescaled_observables(path, burn_in: int = 0) -> list:
-    """Map a record path to the limit-chain coordinates.
+def rescaled_observables(R, A, burn_in: int = 0) -> tuple:
+    """Map record states to the limit-chain coordinates.
 
-    Returns [(xi_i, eta_i), ...] with xi_i = R_i^2 / A_i and
-    eta_i = ln(A_i / A_{i-1}), starting at the second record and
-    discarding the first burn_in pairs.  Flagged states contribute
-    their float coordinates.
+    R and A hold ranks and positions with states on axis 0: one path
+    (1-D), or one path per column (2-D) as sample_paths_batch returns
+    them; a single RAPath gives them as path.r_array(), path.a_array().
+    Returns arrays (xi, eta) with xi_i = R_i^2 / A_i and
+    eta_i = ln(A_i / A_{i-1}) for states i = burn_in + 1, burn_in + 2, ...,
+    so that row 0 of each belongs to state burn_in + 1.
     """
-    r = path.r_array()
-    a = path.a_array()
-    if burn_in < 0 or burn_in + 1 >= r.shape[0]:
+    R = np.asarray(R, dtype=float)
+    A = np.asarray(A, dtype=float)
+    if R.shape != A.shape:
+        raise ValueError("R and A must have the same shape")
+    if burn_in < 0 or burn_in + 1 >= R.shape[0]:
         raise ValueError("burn_in leaves no observations")
-    xi = r[1:] ** 2 / a[1:]
-    eta = np.log(a[1:] / a[:-1])
-    return list(zip(xi[burn_in:].tolist(), eta[burn_in:].tolist()))
+    xi = R[burn_in + 1:] ** 2 / A[burn_in + 1:]
+    eta = np.log(A[burn_in + 1:] / A[burn_in:-1])
+    return xi, eta

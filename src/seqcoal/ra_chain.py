@@ -545,8 +545,7 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     if steps < 0:
         raise ValueError("steps must be >= 0")
     r0, a0 = start
-    if a0 - r0 < 1:
-        raise ValueError("need a - r >= 1 at the start")
+    _check_state(r0, a0)
     if not a0 <= _FLOAT_LIMIT:
         raise OverflowError(f"start position above {_FLOAT_LIMIT:g}")
     r = np.full(num_paths, float(r0))

@@ -1,4 +1,4 @@
-"""Verification statistics: frozen-seed test reports, distribution distances,
+"""Verification statistics: deterministic test reports, distribution distances,
 and extraction of record pairs from observed lineage lengths."""
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class TestReport:
     p_value: float
     passed: bool
     n: int
-    seed: int | None = None
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -53,7 +52,6 @@ class TestReport:
             "p_value": self.p_value,
             "pass": bool(self.passed),
             "n": self.n,
-            "seed": self.seed,
             "params": self.params,
         }
 
@@ -70,7 +68,7 @@ def _resolve_cdf(reference):
         raise ValueError(f"unknown reference CDF {reference!r}") from None
 
 
-def ks_one_sample(samples, reference, *, seed=None, params=None) -> TestReport:
+def ks_one_sample(samples, reference) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a named or callable CDF.
 
     The p-value uses the asymptotic Kolmogorov distribution with the
@@ -86,12 +84,11 @@ def ks_one_sample(samples, reference, *, seed=None, params=None) -> TestReport:
     d = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
     sqrt_n = math.sqrt(n)
     p = float(kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d))
-    merged = {"reference": name}
-    merged.update(params or {})
-    return TestReport("ks_one_sample", d, p, p > PASS_THRESHOLD, n, seed, merged)
+    return TestReport("ks_one_sample", d, p, p > PASS_THRESHOLD, n,
+                      {"reference": name})
 
 
-def ks_two_sample(first, second, *, seed=None, params=None) -> TestReport:
+def ks_two_sample(first, second) -> TestReport:
     """Two-sample Kolmogorov-Smirnov test with the asymptotic p-value."""
     a = np.sort(np.asarray(first, dtype=float))
     b = np.sort(np.asarray(second, dtype=float))
@@ -105,7 +102,7 @@ def ks_two_sample(first, second, *, seed=None, params=None) -> TestReport:
     en = math.sqrt(a.size * b.size / (a.size + b.size))
     p = float(kolmogorov((en + 0.12 + 0.11 / en) * d))
     return TestReport("ks_two_sample", d, p, p > PASS_THRESHOLD,
-                      a.size + b.size, seed, params or {})
+                      a.size + b.size)
 
 
 def _merge_bins(counts, expected):
@@ -135,7 +132,7 @@ def _merge_bins(counts, expected):
     return np.asarray(merged_obs), np.asarray(merged_exp)
 
 
-def chi2_gof(counts, probs, *, seed=None, params=None) -> TestReport:
+def chi2_gof(counts, probs) -> TestReport:
     """Chi-square goodness of fit of observed counts against given bin
     probabilities.  Bins are merged until every expected count reaches
     _MIN_EXPECTED; degrees of freedom are merged bins minus one."""
@@ -154,12 +151,11 @@ def chi2_gof(counts, probs, *, seed=None, params=None) -> TestReport:
     stat = float(np.sum((obs - exp) ** 2 / exp))
     df = obs.size - 1
     p = float(chdtrc(df, stat))
-    merged = {"df": df, "bins": int(obs.size)}
-    merged.update(params or {})
-    return TestReport("chi2_gof", stat, p, p > PASS_THRESHOLD, int(total), seed, merged)
+    return TestReport("chi2_gof", stat, p, p > PASS_THRESHOLD, int(total),
+                      {"df": df, "bins": int(obs.size)})
 
 
-def chi2_two_sample(counts_a, counts_b, *, seed=None, params=None) -> TestReport:
+def chi2_two_sample(counts_a, counts_b) -> TestReport:
     """Chi-square homogeneity test for two count vectors over shared bins."""
     ca = np.asarray(counts_a, dtype=float)
     cb = np.asarray(counts_b, dtype=float)
@@ -181,10 +177,8 @@ def chi2_two_sample(counts_a, counts_b, *, seed=None, params=None) -> TestReport
                  + np.sum((keep_obs_b - exp_b) ** 2 / exp_b))
     df = keep_obs_a.size - 1
     p = float(chdtrc(df, stat))
-    merged = {"df": df, "bins": int(keep_obs_a.size)}
-    merged.update(params or {})
     return TestReport("chi2_two_sample", stat, p, p > PASS_THRESHOLD,
-                      int(na + nb), seed, merged)
+                      int(na + nb), {"df": df, "bins": int(keep_obs_a.size)})
 
 
 def tv_distance(p, q) -> float:

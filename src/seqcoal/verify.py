@@ -79,8 +79,8 @@ def c01_first_record_law(seed: int) -> CriterionResult:
         lambda rng, size: _a1_bin(aldous.batch_first_record(size, rng, _A1_TOP + 1)),
         total, seed, 1, 1))
 
-    rep_closed = chi2_gof(closed, probs, seed=seed, params={"route": "closed"})
-    rep_field = chi2_gof(field, probs, seed=seed, params={"route": "field"})
+    rep_closed = chi2_gof(closed, probs)
+    rep_field = chi2_gof(field, probs)
     tv = tv_distance(closed / total, field / total)
     passed = rep_closed.passed and rep_field.passed and tv < 0.005
     return CriterionResult(1, "first_record_law", passed, {
@@ -248,8 +248,7 @@ def c05_sampler_frequencies(seed: int) -> CriterionResult:
             draws = ra_chain.sample_r_next_batch(r, a, rng, size)
             return np.bincount(draws - r - 1, minlength=a - r)
         counts = sum(_map_chunks(draw, total, seed, 5, idx))
-        rep = chi2_gof(counts, ra_chain.r_pmf_vector(r, a), seed=seed,
-                       params={"state": [r, a]})
+        rep = chi2_gof(counts, ra_chain.r_pmf_vector(r, a))
         details[f"p_rank_{r}_{a}"] = _round6(rep.p_value)
         passed = passed and rep.passed
 
@@ -266,7 +265,7 @@ def c05_sampler_frequencies(seed: int) -> CriterionResult:
         probs = np.array([ra_chain.a_pmf(prior, r_next, y)
                           for y in range(1, cutoff + 1)]
                          + [ra_chain.a_tail(prior, r_next, cutoff + 1)])
-        rep = chi2_gof(counts, probs, seed=seed, params={"c": c_val})
+        rep = chi2_gof(counts, probs)
         details[f"p_position_c{c_val}"] = _round6(rep.p_value)
         passed = passed and rep.passed
 
@@ -315,8 +314,7 @@ def c06_cross_route_joint(seed: int) -> CriterionResult:
     chain = sum(_map_chunks(_chain_joint_chunk, total, seed, 6, 0))
     field = sum(_map_chunks(_field_joint_chunk, total, seed, 6, 1))
     support = np.flatnonzero((chain > 0) | (field > 0))
-    rep = chi2_two_sample(chain[support], field[support], seed=seed,
-                          params={"truncation": _JOINT_CAP})
+    rep = chi2_two_sample(chain[support], field[support])
     return CriterionResult(6, "cross_route_joint", rep.passed, {
         "p_two_sample": _round6(rep.p_value),
         "kept_chain": int(chain.sum()),
@@ -391,7 +389,7 @@ def c08_limit_stationarity(seed: int) -> CriterionResult:
         details[f"moment_{k}_z"] = _round6(z)
         passed = passed and abs(mean - math.factorial(k)) <= 3 * se
 
-    rep = ks_one_sample(xi1, "exp1", seed=seed, params={"step": 1})
+    rep = ks_one_sample(xi1, "exp1")
     details["ks_p"] = _round6(rep.p_value)
     passed = passed and rep.passed
 
@@ -414,22 +412,20 @@ def c08_limit_stationarity(seed: int) -> CriterionResult:
 
 def c09_rescaled_convergence(seed: int) -> CriterionResult:
     total = 10**5
-    steps = 26  # states 1..27; burn-in 25 leaves states 26, 27
+    steps = 26  # states 1..27; the pairs after a burn-in of 24 are at 26, 27
 
     def chunk(rng, size):
         R, A = ra_chain.sample_paths_batch(size, steps, rng, start=(1, 2))
-        xi_a = R[25] ** 2 / A[25]
-        xi_b = R[26] ** 2 / A[26]
-        eta = np.log(A[25] / A[24])
-        return xi_a, xi_b, eta
+        xi, eta = limit_chain.rescaled_observables(R, A, burn_in=24)
+        return xi[0], xi[1], eta[0]
 
     parts = _map_chunks(chunk, total, seed, 9, 0)
     xi_a = np.concatenate([p[0] for p in parts])
     xi_b = np.concatenate([p[1] for p in parts])
     eta = np.concatenate([p[2] for p in parts])
 
-    d_xi = ks_one_sample(xi_a, "exp1", seed=seed).statistic
-    d_eta = ks_one_sample(eta, "exp1", seed=seed).statistic
+    d_xi = ks_one_sample(xi_a, "exp1").statistic
+    d_eta = ks_one_sample(eta, "exp1").statistic
 
     rho_chain = float(np.corrcoef(xi_a, xi_b)[0, 1])
     sig_chain = (1.0 - rho_chain**2) / math.sqrt(total)
@@ -534,7 +530,7 @@ def c11_construction_equivalence(seed: int) -> CriterionResult:
     names = list(routes)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            rep = ks_two_sample(samples[names[i]], samples[names[j]], seed=seed)
+            rep = ks_two_sample(samples[names[i]], samples[names[j]])
             details[f"ks_p_{names[i]}_{names[j]}"] = _round6(rep.p_value)
             passed = passed and rep.passed
     return CriterionResult(11, "construction_equivalence", passed, details)

@@ -55,7 +55,7 @@ def test_mrca_trivial_and_pair_law():
     # two individuals: the merge time is Exp(1)
     times = [time_to_mrca(simulate_kingman(2, stream(2, i)))
              for i in range(4000)]
-    assert ks_one_sample(times, "exp1", seed=2).passed
+    assert ks_one_sample(times, "exp1").passed
 
 
 def test_mrca_mean_ten_individuals():
@@ -115,7 +115,7 @@ def test_extend_from_singleton_gives_exp1_lengths():
     for i in range(4000):
         length, _ = extend_recursive(Trajectory(1, []), stream(6, i))
         lengths.append(length)
-    assert ks_one_sample(lengths, "exp1", seed=6).passed
+    assert ks_one_sample(lengths, "exp1").passed
 
 
 def test_build_pebls_shape_and_conventions():

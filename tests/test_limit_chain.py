@@ -6,10 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqcoal.limit_chain import (LimitState, WnLaw, conditional_wn,
-                                 rescaled_observables, sample_limit_batch,
-                                 sample_limit_path, step_limit,
-                                 wn_local_limit_error, wn_log_pmf, wn_pmf)
+from seqcoal.limit_chain import (conditional_wn, rescaled_observables,
+                                 sample_limit_batch, wn_local_limit_error,
+                                 wn_log_pmf, wn_pmf)
 from seqcoal.ra_chain import RAPath, RAState, sample_path
 from seqcoal.stats import ks_one_sample
 from seqcoal.streams import exp_inverse, stream
@@ -25,46 +24,24 @@ class ScriptedRNG:
         return np.array([self.values.pop(0) for _ in range(int(size))])
 
 
-def test_limit_state_validation():
-    LimitState(0.0)
-    LimitState(3.5)
-    with pytest.raises(ValueError):
-        LimitState(-0.1)
-    with pytest.raises(ValueError):
-        LimitState(math.inf)
+def test_limit_batch_start_validation():
+    sample_limit_batch(np.array([0.0, 3.5]), stream(30, 0))
+    sample_limit_batch(np.array([]), stream(30, 0))
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sample_limit_batch(np.array([1.0, bad]), stream(30, 0))
 
 
-def test_step_limit_algebra():
-    # increment X = 1 (u = e^-1) drawn first, damping eta = 0.5 (u = e^-0.5)
-    rng = ScriptedRNG([math.exp(-1.0), math.exp(-0.5)])
-    nxt = step_limit(LimitState(2.0), rng)
-    assert nxt.xi == pytest.approx(3.0 * math.exp(-0.5), rel=1e-14)
-
-
-def test_sample_limit_path_starts():
-    xs = sample_limit_path(1.5, 4, stream(30, 0))
-    assert len(xs) == 5
-    assert xs[0] == 1.5
-    assert all(x > 0.0 for x in xs)
-    state_start = sample_limit_path(LimitState(1.5), 4, stream(30, 0))
-    assert state_start == xs
-    # "stationary" consumes one exponential draw for the start
-    rng = stream(30, 1)
-    want = exp_inverse(stream(30, 1))
-    ys = sample_limit_path("stationary", 0, rng)
-    assert ys == [want]
-    with pytest.raises(ValueError):
-        sample_limit_path("equilibrium", 2, stream(30, 2))
-    with pytest.raises(ValueError):
-        sample_limit_path(1.0, -1, stream(30, 3))
-
-
-def test_batch_step_matches_scalar():
-    xi0 = np.array([0.7])
-    out = sample_limit_batch(xi0, stream(31, 0))
-    want = step_limit(LimitState(0.7), stream(31, 0))
-    assert out.shape == (1,)
-    assert out[0] == want.xi
+def test_limit_step_algebra():
+    # the increments X = 1, 2 (u = e^-1, e^-2) are drawn first as one array,
+    # then the damping exponents eta = 0.5, 1 (u = e^-0.5, e^-1)
+    rng = ScriptedRNG([math.exp(-1.0), math.exp(-2.0),
+                       math.exp(-0.5), math.exp(-1.0)])
+    out = sample_limit_batch(np.array([2.0, 0.0]), rng)
+    assert rng.values == []
+    assert out.shape == (2,)
+    assert out[0] == pytest.approx(3.0 * math.exp(-0.5), rel=1e-14)
+    assert out[1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
 
 
 def test_stationarity_preserved():
@@ -74,7 +51,7 @@ def test_stationarity_preserved():
         xi = sample_limit_batch(xi, rng)
     assert abs(xi.mean() - 1.0) < 0.01
     assert abs((xi ** 2).mean() - 2.0) < 0.05
-    rep = ks_one_sample(xi, "exp1", seed=32)
+    rep = ks_one_sample(xi, "exp1")
     assert rep.passed, rep.to_dict()
 
 
@@ -208,24 +185,33 @@ def test_conditional_wn_equals_rank_transition_law():
 
 def test_rescaled_observables_frozen():
     path = RAPath([RAState(1, 2), RAState(2, 5), RAState(4, 30)])
-    pairs = rescaled_observables(path)
-    assert len(pairs) == 2
-    assert pairs[0][0] == pytest.approx(4.0 / 5.0, rel=1e-15)
-    assert pairs[0][1] == pytest.approx(math.log(2.5), rel=1e-15)
-    assert pairs[1][0] == pytest.approx(16.0 / 30.0, rel=1e-15)
-    assert pairs[1][1] == pytest.approx(math.log(6.0), rel=1e-15)
-    assert rescaled_observables(path, burn_in=1) == pairs[1:]
+    R, A = path.r_array(), path.a_array()
+    xi, eta = rescaled_observables(R, A)
+    assert xi.shape == eta.shape == (2,)
+    assert xi[0] == pytest.approx(4.0 / 5.0, rel=1e-15)
+    assert eta[0] == pytest.approx(math.log(2.5), rel=1e-15)
+    assert xi[1] == pytest.approx(16.0 / 30.0, rel=1e-15)
+    assert eta[1] == pytest.approx(math.log(6.0), rel=1e-15)
+    xi1, eta1 = rescaled_observables(R, A, burn_in=1)
+    assert xi1.tolist() == xi[1:].tolist()
+    assert eta1.tolist() == eta[1:].tolist()
+    # one path per column, as sample_paths_batch lays them out
+    xi2, eta2 = rescaled_observables(np.stack([R, R], axis=1),
+                                     np.stack([A, A], axis=1))
+    assert xi2.tolist() == [[v, v] for v in xi.tolist()]
+    assert eta2.tolist() == [[v, v] for v in eta.tolist()]
+    for burn_in in (2, -1):
+        with pytest.raises(ValueError):
+            rescaled_observables(R, A, burn_in=burn_in)
     with pytest.raises(ValueError):
-        rescaled_observables(path, burn_in=2)
-    with pytest.raises(ValueError):
-        rescaled_observables(path, burn_in=-1)
+        rescaled_observables(R, A[:2])
 
 
 def test_rescaled_observables_multiplicative_consistency():
     path = sample_path(RAState(1, 2), 15, stream(34, 0))
-    pairs = rescaled_observables(path)
     r = path.r_array()
     a = path.a_array()
-    for i, (xi, eta) in enumerate(pairs, start=1):
-        assert xi == pytest.approx(
-            (r[i] ** 2 / a[i - 1]) * math.exp(-eta), rel=1e-12)
+    xi, eta = rescaled_observables(r, a)
+    for i in range(xi.shape[0]):
+        assert xi[i] == pytest.approx(
+            (r[i + 1] ** 2 / a[i]) * math.exp(-eta[i]), rel=1e-12)

@@ -73,7 +73,7 @@ def test_sample_a1_array():
         counts[min(int(v), 51) - 2] += 1
     probs = [2.0 / (n * (n + 1.0)) for n in range(2, 51)]
     probs.append(1.0 - math.fsum(probs))
-    rep = chi2_gof(counts, probs, seed=20)
+    rep = chi2_gof(counts, probs)
     assert rep.passed, rep.to_dict()
 
 
@@ -213,6 +213,29 @@ def test_tail_criteria_details_pinned():
     assert c02 == {"exact_states": 66, "grid_points": 193,
                    "max_form_rel_diff": 6.13601e-15}
     assert c04 == {"max_sum_defect": 1.9984e-15, "max_tail_minus_pmf": 1.11022e-16}
+
+
+def test_limit_criteria_details_pinned():
+    # c08 and c09 draw from their seed's streams; any change to a draw, to
+    # the rescaling or to the limit step moves these digits
+    c08 = verify.run_criterion(8, 0)
+    assert c08.passed
+    assert c08.details == {
+        "moment_1_z": -0.163453, "moment_2_z": -0.510381,
+        "moment_3_z": -0.745906, "moment_4_z": -0.810799, "ks_p": 0.794458,
+        "drift_x0_z": -0.30147, "drift_x1_z": -0.887575,
+        "drift_x2_z": -0.673545}
+    c09 = verify.run_criterion(9, 0)
+    assert c09.passed
+    assert c09.details == {"ks_xi": 0.00274693, "ks_eta": 0.00181467,
+                           "corr_chain": 0.5039, "corr_limit": 0.497901,
+                           "corr_sigma": 0.0024763}
+    # seed 2 fails the correlation gate (ROADMAP item 10)
+    c09 = verify.run_criterion(9, 2)
+    assert not c09.passed
+    assert c09.details == {"ks_xi": 0.00273658, "ks_eta": 0.00234845,
+                           "corr_chain": 0.491425, "corr_limit": 0.500354,
+                           "corr_sigma": 0.00251301}
 
 
 # --- samplers ---------------------------------------------------------------
@@ -369,7 +392,7 @@ def test_sample_r_next_frequencies():
     draws = sample_r_next_batch(1, 5, stream(21, 1), 20_000)
     counts = np.bincount(draws, minlength=6)[2:6]
     probs = r_pmf_vector(1, 5)
-    rep = chi2_gof(counts, probs, seed=21)
+    rep = chi2_gof(counts, probs)
     assert rep.passed, rep.to_dict()
 
 
@@ -396,7 +419,7 @@ def test_sample_a_next_tail_frequencies():
         counts[min(int(v) - 4, 29)] += 1
     probs = [float(a_pmf_exact(prior, 2, y)) for y in range(1, 30)]
     probs.append(float(a_tail_exact(prior, 2, 30)))
-    rep = chi2_gof(counts, probs, seed=22)
+    rep = chi2_gof(counts, probs)
     assert rep.passed, rep.to_dict()
 
 
@@ -502,8 +525,9 @@ def test_sample_paths_batch_shapes_and_invariants():
     assert np.all(np.diff(R, axis=0) > 0)
     assert np.all(np.diff(A, axis=0) > 0)
     assert np.all(A - R >= 1)
-    with pytest.raises(ValueError):
-        sample_paths_batch(4, 3, stream(25, 2), start=(2, 2))
+    for start in ((2, 2), (0, 2), (-5, 2)):
+        with pytest.raises(ValueError):
+            sample_paths_batch(4, 3, stream(25, 2), start=start)
     with pytest.raises(ValueError):
         sample_paths_batch(4, -1, stream(25, 2))
 

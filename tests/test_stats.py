@@ -14,7 +14,7 @@ from seqcoal.streams import exp_inverse, stream
 
 
 def test_report_serialization_uses_pass_key():
-    rep = stats.TestReport("demo", 0.1, 0.9, True, 100, seed=3, params={"b": 1})
+    rep = stats.TestReport("demo", 0.1, 0.9, True, 100, {"b": 1})
     d = rep.to_dict()
     assert d["pass"] is True
     assert d["p_value"] == 0.9
