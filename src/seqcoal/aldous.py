@@ -45,16 +45,20 @@ def _height_count(tol: float) -> int:
 class StickField:
     """Lazily grown field of stick and individual positions with heights.
 
-    The field owns the generator handed in and draws its positions from it
-    in blocks of uniforms.  Even stream positions are sticks and odd ones
-    are individuals: on a collision-free stream, stick j is value 2(j-1)
-    and individual i is value 2i-1.  A value equal to 0.0 or to any
-    earlier value of the stream, which would make interval adjacency
-    ambiguous, is skipped, and later values keep their parity.  Whether a
-    value is kept depends only on the values before it in the stream, so
-    the positions do not depend on the order in which sticks and
-    individuals are requested.  Heights come from one child of the
-    generator, spawned when they are first needed.
+    The field draws its positions from the generator handed in, in blocks
+    of uniforms; its stream is the sequence of those blocks.  Even stream
+    positions are sticks and odd ones are individuals: on a collision-free
+    stream, stick j is value 2(j-1) and individual i is value 2i-1.  A
+    value equal to 0.0 or to any earlier value of the stream, which would
+    make interval adjacency ambiguous, is skipped, and later values keep
+    their parity.  Whether a value is kept depends only on the values
+    before it in the stream, so the positions do not depend on the order
+    in which sticks and individuals are requested.  Fields that share one
+    generator take their blocks from it in the order they are read, so a
+    field's positions depend on the fields read before it; a field read
+    to its end before the next one is made has one contiguous run of
+    blocks.  Heights come from one child of the generator, spawned when
+    they are first needed.
     """
 
     def __init__(self, rng: np.random.Generator, *, height_tol: float = 1e-9):

@@ -238,7 +238,7 @@ def cumulative_hazard(traj: Trajectory, t: float) -> float:
     """Integral of the block count over [0, t] for a complete trajectory."""
     if not traj.is_complete:
         raise ValueError("trajectory is not complete")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be non-negative")
     times = traj.times[:bisect_left(traj.times, t)]
     total, prev, count = _hazard_scan(times, traj.n, math.inf)

@@ -35,14 +35,14 @@ _EXACT_WN_LIMIT = 10**4
 def sample_limit_batch(xi0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Advance many limit-chain states by one step in lockstep.
 
-    Draws the increment array X first, then the damping array eta, and
-    returns (xi0 + X) exp(-eta).  Raises ValueError unless every start is
-    finite and >= 0.
+    Draws the increment array X first, then the damping array eta, each
+    of xi0's shape, and returns (xi0 + X) exp(-eta).  Raises ValueError
+    unless every start is finite and >= 0.
     """
     if not np.all((xi0 >= 0.0) & (xi0 < np.inf)):
         raise ValueError("xi must be finite and >= 0")
-    x = exp_inverse(rng, xi0.shape[0])
-    eta = exp_inverse(rng, xi0.shape[0])
+    x = exp_inverse(rng, xi0.shape)
+    eta = exp_inverse(rng, xi0.shape)
     return (xi0 + x) * np.exp(-eta)
 
 

@@ -515,7 +515,7 @@ def sample_path(start: RAState | None, steps: int,
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if start is None:
-        start = RAState(1, max(2, sample_a1(rng)))
+        start = RAState(1, sample_a1(rng))
     states = [start]
     for _ in range(steps):
         states.append(step(states[-1], rng))

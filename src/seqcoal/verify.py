@@ -8,6 +8,7 @@ seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -105,6 +106,17 @@ def _log_grid_states() -> list:
     return states
 
 
+_Y_PROBE = (1, 2, 3, 10, 100, 1000)
+
+
+def _position_grid_states() -> list:
+    """(c, prior, r_next) with c = a + r_next split in half and prior
+    rank 1; criteria 3 and 4 probe each at _Y_PROBE, and criterion 5
+    samples the first three."""
+    return [(c, ra_chain.RAState(1, c - c // 2), c // 2)
+            for c in (4, 20, 100, 1000, 10**6, 10**8)]
+
+
 def _x_probe(r, a) -> list:
     # The support edge is probed only when the scalar O(x) evaluations can
     # afford it; wide supports are covered by the fixed offsets.
@@ -174,10 +186,8 @@ def c03_position_transition_exact(seed: int) -> CriterionResult:
         states += 1
 
     worst = 0.0
-    for c in (4, 20, 100, 1000, 10**6, 10**8):
-        a, r_next = c - c // 2, c // 2
-        prior = ra_chain.RAState(1, a)
-        for y in (1, 2, 3, 10, 100, 1000):
+    for _, prior, r_next in _position_grid_states():
+        for y in _Y_PROBE:
             p1 = ra_chain.a_pmf(prior, r_next, y, form="closed")
             p2 = ra_chain.a_pmf(prior, r_next, y, form="product")
             worst = max(worst, abs(p1 - p2) / p1)
@@ -213,10 +223,8 @@ def c04_tail_identities(seed: int) -> CriterionResult:
             worst_sum = max(worst_sum,
                             abs(acc + ra_chain.r_tail(state, head + 1) - 1.0))
 
-    for c in (4, 20, 100, 1000, 10**6, 10**8):
-        a, r_next = c - c // 2, c // 2
-        prior = ra_chain.RAState(1, a)
-        for y in (1, 2, 3, 10, 100, 1000):
+    for _, prior, r_next in _position_grid_states():
+        for y in _Y_PROBE:
             diff = (ra_chain.a_tail(prior, r_next, y)
                     - ra_chain.a_tail(prior, r_next, y + 1))
             worst_diff = max(worst_diff,
@@ -253,15 +261,12 @@ def c05_sampler_frequencies(seed: int) -> CriterionResult:
         passed = passed and rep.passed
 
     cutoff = 200
-    for idx, c_val in enumerate((4, 20, 100)):
-        a, r_next = c_val - c_val // 2, c_val // 2
-
+    for idx, (c_val, prior, r_next) in enumerate(_position_grid_states()[:3]):
         def draw(rng, size, c_val=c_val):
             y = ra_chain._position_offsets(np.full(size, float(c_val)), rng)
             return np.bincount(np.minimum(y, cutoff + 1).astype(np.int64) - 1,
                                minlength=cutoff + 1)
         counts = sum(_map_chunks(draw, total, seed, 5, 10 + idx))
-        prior = ra_chain.RAState(1, a)
         probs = np.array([ra_chain.a_pmf(prior, r_next, y)
                           for y in range(1, cutoff + 1)]
                          + [ra_chain.a_tail(prior, r_next, cutoff + 1)])
@@ -301,8 +306,10 @@ def _chain_joint_chunk(rng, size) -> np.ndarray:
 
 def _field_joint_chunk(rng, size) -> np.ndarray:
     counts = np.zeros((_JOINT_CAP + 1) * (_JOINT_CAP + 1), dtype=np.int64)
-    for child in rng.spawn(size):
-        field = aldous.StickField(child)
+    for _ in range(size):
+        # the fields share the chunk's stream, each read to its end by
+        # identify_ra before the next one is made
+        field = aldous.StickField(rng)
         pairs = aldous.identify_ra(field, 2, max_individuals=64, max_sticks=64)
         if len(pairs) == 2 and pairs[1].a <= _JOINT_CAP:
             counts[_joint_key(pairs[1].r, pairs[1].a)] += 1
@@ -369,15 +376,16 @@ def c07_record_value_law(seed: int) -> CriterionResult:
 # criterion 8: stationarity of the limit chain
 
 
+def _limit_pair_chunk(rng, size) -> tuple:
+    """Stationary starts xi0 ~ Exp(1) and one limit step from each."""
+    xi0 = exp_inverse(rng, size)
+    return xi0, limit_chain.sample_limit_batch(xi0, rng)
+
+
 def c08_limit_stationarity(seed: int) -> CriterionResult:
     total = 10**6
-
-    def one_step(rng, size):
-        xi0 = exp_inverse(rng, size)
-        return limit_chain.sample_limit_batch(xi0, rng)
-
-    parts = _map_chunks(one_step, total, seed, 8, 0)
-    xi1 = np.concatenate(parts)
+    xi1 = np.concatenate([p[1] for p in _map_chunks(
+        _limit_pair_chunk, total, seed, 8, 0)])
 
     details = {}
     passed = True
@@ -431,13 +439,7 @@ def c09_rescaled_convergence(seed: int) -> CriterionResult:
     sig_chain = (1.0 - rho_chain**2) / math.sqrt(total)
 
     limit_total = 10**6
-
-    def limit_pairs(rng, size):
-        xi0 = exp_inverse(rng, size)
-        xi1 = limit_chain.sample_limit_batch(xi0, rng)
-        return xi0, xi1
-
-    lp = _map_chunks(limit_pairs, limit_total, seed, 9, 1)
+    lp = _map_chunks(_limit_pair_chunk, limit_total, seed, 9, 1)
     l0 = np.concatenate([p[0] for p in lp])
     l1 = np.concatenate([p[1] for p in lp])
     rho_limit = float(np.corrcoef(l0, l1)[0, 1])
@@ -483,42 +485,26 @@ _MRCA_N = 10
 _MRCA_MEAN = 2.0 * (1.0 - 1.0 / _MRCA_N)
 
 
-def _mrca_direct_chunk(rng, size):
-    out = np.empty(size)
-    for i in range(size):
-        out[i] = kingman.time_to_mrca(kingman.simulate_kingman(_MRCA_N, rng))
-    return out
-
-
-def _mrca_recursive_chunk(rng, size):
-    out = np.empty(size)
-    for i in range(size):
-        _, traj = kingman.build_pebls(_MRCA_N, rng)
-        out[i] = kingman.time_to_mrca(traj)
-    return out
-
-
-def _mrca_reconstructed_chunk(rng, size):
-    out = np.empty(size)
-    for i in range(size):
-        pebls, _ = kingman.build_pebls(_MRCA_N, rng)
-        traj = kingman.reconstruct_from_pebls(pebls, rng)
-        out[i] = kingman.time_to_mrca(traj)
-    return out
+def _mrca_chunk(build, rng, size) -> np.ndarray:
+    """MRCA times of `size` trajectories, each from build(rng)."""
+    return np.fromiter((kingman.time_to_mrca(build(rng)) for _ in range(size)),
+                       dtype=float, count=size)
 
 
 def c11_construction_equivalence(seed: int) -> CriterionResult:
     total = 10**5
     routes = {
-        "direct": _mrca_direct_chunk,
-        "recursive": _mrca_recursive_chunk,
-        "reconstructed": _mrca_reconstructed_chunk,
+        "direct": lambda rng: kingman.simulate_kingman(_MRCA_N, rng),
+        "recursive": lambda rng: kingman.build_pebls(_MRCA_N, rng)[1],
+        "reconstructed": lambda rng: kingman.reconstruct_from_pebls(
+            kingman.build_pebls(_MRCA_N, rng)[0], rng),
     }
     samples = {}
     details = {}
     passed = True
-    for idx, (name, fn) in enumerate(routes.items()):
-        vals = np.concatenate(_map_chunks(fn, total, seed, 11, idx))
+    for idx, (name, build) in enumerate(routes.items()):
+        vals = np.concatenate(_map_chunks(
+            functools.partial(_mrca_chunk, build), total, seed, 11, idx))
         samples[name] = vals
         mean = float(vals.mean())
         se = float(vals.std(ddof=1)) / math.sqrt(total)

@@ -77,6 +77,10 @@ def test_cumulative_hazard_round_trip():
         invert_cumulative_hazard(traj, 0.0)
     with pytest.raises(ValueError):
         cumulative_hazard(Trajectory(2, []), 1.0)
+    # NaN is not a time; an infinite time has infinite hazard
+    with pytest.raises(ValueError):
+        cumulative_hazard(traj, math.nan)
+    assert cumulative_hazard(traj, math.inf) == math.inf
 
 
 def test_inversion_at_an_event_returns_its_time():

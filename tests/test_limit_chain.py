@@ -21,7 +21,8 @@ class ScriptedRNG:
     def random(self, size=None):
         if size is None:
             return self.values.pop(0)
-        return np.array([self.values.pop(0) for _ in range(int(size))])
+        count = int(np.prod(size))
+        return np.array([self.values.pop(0) for _ in range(count)]).reshape(size)
 
 
 def test_limit_batch_start_validation():
@@ -42,6 +43,19 @@ def test_limit_step_algebra():
     assert out.shape == (2,)
     assert out[0] == pytest.approx(3.0 * math.exp(-0.5), rel=1e-14)
     assert out[1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+
+
+def test_limit_batch_draws_per_entry():
+    # one increment and one damping factor per entry, in C order, so equal
+    # starts in different rows of a 2-D array still move apart
+    for start in (np.ones((3, 3)), np.linspace(0.0, 3.0, 7)):
+        out = sample_limit_batch(start, stream(0, 0))
+        rng = stream(0, 0)
+        x = exp_inverse(rng, start.size)
+        eta = exp_inverse(rng, start.size)
+        assert out.shape == start.shape
+        assert np.array_equal(out.ravel(), (start.ravel() + x) * np.exp(-eta))
+        assert np.unique(out).size == out.size
 
 
 def test_stationarity_preserved():

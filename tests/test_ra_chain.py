@@ -238,6 +238,16 @@ def test_limit_criteria_details_pinned():
                            "corr_sigma": 0.00251301}
 
 
+def test_field_criterion_details_pinned():
+    # c06's stick fields share their chunk's stream, so any change to a
+    # position draw, to the read order or to identify_ra moves these digits;
+    # seed 2 gives the lowest p of seeds 0-2
+    c06 = verify.run_criterion(6, 2)
+    assert c06.passed
+    assert c06.details == {"p_two_sample": 0.0774204, "kept_chain": 79793,
+                           "kept_field": 79971, "support_states": 430}
+
+
 # --- samplers ---------------------------------------------------------------
 
 
