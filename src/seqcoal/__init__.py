@@ -16,12 +16,11 @@ from .kingman import (Partition, PeblsSequence, Trajectory, TrajectoryEvent,
 from .limit_chain import (WnLaw, conditional_wn, rescaled_observables,
                           sample_limit_batch, wn_local_limit_error, wn_log_pmf,
                           wn_pmf)
-from .ra_chain import (EXACT_LIMIT, RAPath, RAState, a_pmf, a_pmf_exact,
-                       a_tail, a_tail_exact, r_pmf, r_pmf_exact,
-                       r_pmf_vector, r_tail, r_tail_exact, r_tail_vector,
-                       sample_a1, sample_a_next, sample_path,
+from .ra_chain import (RAState, a_pmf, a_pmf_exact, a_tail, a_tail_exact,
+                       r_pmf, r_pmf_exact, r_pmf_vector, r_tail, r_tail_exact,
+                       r_tail_vector, sample_a1, sample_a_next,
                        sample_paths_batch, sample_r_next, sample_r_next_batch,
-                       step, urn_oracle_a, urn_oracle_r)
+                       urn_oracle_a, urn_oracle_r)
 from .stats import (RecordExtraction, TestReport, chi2_gof, chi2_two_sample,
                     extract_records, ks_one_sample, ks_two_sample, tv_distance)
 from .streams import exp_inverse, stream

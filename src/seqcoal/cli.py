@@ -112,7 +112,7 @@ def _cmd_ra_sample(args) -> int:
     if float(A[-1].max()) > _FLOAT_EXACT_LIMIT:
         sys.stderr.write(
             "note: some positions passed the exact integer range and continue "
-            "in double precision (flagged continuation)\n")
+            "in double precision\n")
     R, A = R[kept].T, A[kept].T
     first = args.burn_in + 1
     if args.format == "json":

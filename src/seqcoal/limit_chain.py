@@ -123,12 +123,13 @@ def wn_local_limit_error(n: int, s_values) -> tuple:
     """Relative error of the Gaussian-type bulk approximation.
 
     At k = floor(s sqrt(n)) the pmf should be close to 2s e^{-s^2} / sqrt(n).
-    Returns (kept s values, relative errors); points whose floor lands at
-    k = 0 are dropped since the approximation has nothing to say there.
+    Returns (kept s values, relative errors); points whose floor lands
+    outside 1..n are dropped: the approximation has nothing to say at
+    k = 0, and past n the pmf is 0.
     """
     s = np.asarray(s_values, dtype=float)
     k = np.floor(s * math.sqrt(n)).astype(int)
-    keep = k >= 1
+    keep = (k >= 1) & (k <= n)
     s, k = s[keep], k[keep]
     law = wn_pmf(n)
     pmf = law.pmf_float()
@@ -155,7 +156,7 @@ def rescaled_observables(R, A, burn_in: int = 0) -> tuple:
 
     R and A hold ranks and positions with states on axis 0: one path
     (1-D), or one path per column (2-D) as sample_paths_batch returns
-    them; a single RAPath gives them as path.r_array(), path.a_array().
+    them.
     Returns arrays (xi, eta) with xi_i = R_i^2 / A_i and
     eta_i = ln(A_i / A_{i-1}) for states i = burn_in + 1, burn_in + 2, ...,
     so that row 0 of each belongs to state burn_in + 1.

@@ -23,9 +23,7 @@ from .numerics import log_gamma_diff
 from .streams import nonzero_uniform
 
 __all__ = [
-    "EXACT_LIMIT",
     "RAState",
-    "RAPath",
     "sample_a1",
     "r_pmf",
     "r_tail",
@@ -40,17 +38,10 @@ __all__ = [
     "sample_r_next",
     "sample_r_next_batch",
     "sample_a_next",
-    "step",
-    "sample_path",
     "sample_paths_batch",
     "urn_oracle_r",
     "urn_oracle_a",
 ]
-
-# States are kept in exact integer arithmetic up to this bound (the unsigned
-# 128-bit range); past it the chain continues in floating point and the state
-# carries exact=False.
-EXACT_LIMIT = 2**127 - 1
 
 # Largest position index for which the scalar sampler scans the support with
 # the sequential tail recursion; past it, it runs the guided inversion.
@@ -86,23 +77,9 @@ class RAState:
 
     r: int
     a: int
-    exact: bool = True
 
     def __post_init__(self):
         _check_state(self.r, self.a)
-
-
-@dataclass
-class RAPath:
-    """Successive record states (R_1, A_1), (R_2, A_2), ..."""
-
-    states: list
-
-    def r_array(self) -> np.ndarray:
-        return np.array([s.r for s in self.states], dtype=float)
-
-    def a_array(self) -> np.ndarray:
-        return np.array([s.a for s in self.states], dtype=float)
 
 
 def _check_state(r, a):
@@ -382,7 +359,7 @@ def sample_r_next_batch(r, a, rng: np.random.Generator, size: int) -> np.ndarray
 
     Precomputes the full tail vector with the same sequential recursion the
     scalar sampler scans for a <= 1e6, then inverts every uniform with one
-    searchsorted.  Ties resolve to the smaller x, matching the scalar path.
+    searchsorted.  Ties resolve to the smaller x, matching sample_r_next.
     """
     _check_state(r, a)
     if a - r > 10**7:
@@ -493,35 +470,6 @@ def _position_offsets(c, rng: np.random.Generator) -> np.ndarray:
     return np.floor(z) + 1.0
 
 
-def step(state: RAState, rng: np.random.Generator) -> RAState:
-    """One transition of the record chain: rank first, then position."""
-    r_next = sample_r_next(state, rng)
-    a_next = sample_a_next(state, r_next, rng)
-    exact = state.exact and isinstance(a_next, int) and a_next <= EXACT_LIMIT
-    if state.exact and not exact:
-        # Flagged continuation: past the exact range the state is carried in
-        # double precision and all tail evaluations go through log-gamma.
-        return RAState(float(r_next), float(a_next), False)
-    return RAState(r_next, a_next, exact)
-
-
-def sample_path(start: RAState | None, steps: int,
-                rng: np.random.Generator) -> RAPath:
-    """Record path of the given number of transitions.
-
-    start = None begins at the first record, rank 1 with position drawn
-    from sample_a1.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if start is None:
-        start = RAState(1, sample_a1(rng))
-    states = [start]
-    for _ in range(steps):
-        states.append(step(states[-1], rng))
-    return RAPath(states)
-
-
 def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
                        start=(1, 2)):
     """Advance many record paths in lockstep; returns (R, A) float arrays of
@@ -540,11 +488,14 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     stalls, r + x rounding back to r:
     that needs x below the spacing of floats at r, which from a small start
     has probability about 2^-51 per lane-step, but is certain from, say,
-    (1e20, 1e22).
+    (1e20, 1e22).  The start must be a state of the chain: ValueError
+    unless both coordinates are whole numbers, r >= 1 and a - r >= 1.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     r0, a0 = start
+    if not (float(r0).is_integer() and float(a0).is_integer()):
+        raise ValueError("start rank and position must be whole numbers")
     _check_state(r0, a0)
     if not a0 <= _FLOAT_LIMIT:
         raise OverflowError(f"start position above {_FLOAT_LIMIT:g}")

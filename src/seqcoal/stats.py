@@ -216,8 +216,11 @@ def extract_records(values, *, first_index=2, ranks=None,
     Validity horizon: with ground-truth global ranks supplied, pair i is
     certified when ranks 1..R_{i+1} are all attained inside the window, which
     rules out any unseen longer lineage disturbing it.  Without ranks, the
-    heuristic keeps pairs with position <= N / gamma for window end N.
+    heuristic keeps pairs with position <= N / gamma for window end N, and
+    gamma must be > 0.
     """
+    if not gamma > 0:
+        raise ValueError("gamma must be > 0")
     vals = list(values)
     n_vals = len(vals)
     if n_vals == 0:

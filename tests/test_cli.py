@@ -222,6 +222,18 @@ def test_wn_csv(capsys):
     assert any(ln.startswith("local_limit,") for ln in lines)
 
 
+def test_wn_at_n_one(capsys):
+    # the grid's s up to 2 gives k = floor(s sqrt(n)) = 2 > n at n = 1; such
+    # points are dropped, and the rest of the grid has k = 1
+    rc, out, err = run_cli(capsys, "wn", "--n", "1")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1:3] == ["pmf,0,0.0", "pmf,1,1.0"]
+    s = [float(ln.split(",")[1]) for ln in lines[3:]]
+    assert s and all(ln.startswith("local_limit,") for ln in lines[3:])
+    assert all(math.floor(v) == 1 for v in s)
+
+
 def test_pmf_rank_frozen_rows(capsys):
     rc, out, _ = run_cli(capsys, "pmf", "--r", "1", "--a", "3")
     assert rc == 0

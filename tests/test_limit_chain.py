@@ -9,7 +9,7 @@ import pytest
 from seqcoal.limit_chain import (conditional_wn, rescaled_observables,
                                  sample_limit_batch, wn_local_limit_error,
                                  wn_log_pmf, wn_pmf)
-from seqcoal.ra_chain import RAPath, RAState, sample_path
+from seqcoal.ra_chain import RAState, sample_paths_batch
 from seqcoal.stats import ks_one_sample
 from seqcoal.streams import exp_inverse, stream
 
@@ -166,6 +166,9 @@ def test_wn_local_limit_error_shape():
     assert kept.tolist() == [0.5, 1.0, 2.0]
     assert rel.shape == (3,)
     assert np.all(np.abs(rel) < 0.5)
+    # floor(2.5 * 2) = 5 lies past n = 4, where the pmf is 0: dropped too
+    kept, rel = wn_local_limit_error(4, [2.5, 1.0])
+    assert kept.tolist() == [1.0] and rel.shape == (1,)
 
 
 def test_conditional_wn_unconditioned_and_mass():
@@ -198,8 +201,7 @@ def test_conditional_wn_equals_rank_transition_law():
 
 
 def test_rescaled_observables_frozen():
-    path = RAPath([RAState(1, 2), RAState(2, 5), RAState(4, 30)])
-    R, A = path.r_array(), path.a_array()
+    R, A = np.array([1.0, 2.0, 4.0]), np.array([2.0, 5.0, 30.0])
     xi, eta = rescaled_observables(R, A)
     assert xi.shape == eta.shape == (2,)
     assert xi[0] == pytest.approx(4.0 / 5.0, rel=1e-15)
@@ -222,9 +224,8 @@ def test_rescaled_observables_frozen():
 
 
 def test_rescaled_observables_multiplicative_consistency():
-    path = sample_path(RAState(1, 2), 15, stream(34, 0))
-    r = path.r_array()
-    a = path.a_array()
+    R, A = sample_paths_batch(1, 15, stream(34, 0))
+    r, a = R[:, 0], A[:, 0]
     xi, eta = rescaled_observables(r, a)
     for i in range(xi.shape[0]):
         assert xi[i] == pytest.approx(

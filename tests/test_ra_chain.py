@@ -8,13 +8,11 @@ import pytest
 
 from seqcoal import ra_chain, verify
 from seqcoal.numerics import log_gamma_diff
-from seqcoal.ra_chain import (EXACT_LIMIT, RAPath, RAState, a_pmf, a_pmf_exact,
-                              a_tail, a_tail_exact, r_pmf,
-                              r_pmf_exact, r_pmf_vector, r_tail, r_tail_exact,
-                              r_tail_vector, sample_a1, sample_a_next,
-                              sample_path, sample_paths_batch, sample_r_next,
-                              sample_r_next_batch, step, urn_oracle_a,
-                              urn_oracle_r)
+from seqcoal.ra_chain import (RAState, a_pmf, a_pmf_exact, a_tail,
+                              a_tail_exact, r_pmf, r_pmf_exact, r_pmf_vector,
+                              r_tail, r_tail_exact, r_tail_vector, sample_a1,
+                              sample_a_next, sample_paths_batch, sample_r_next,
+                              sample_r_next_batch, urn_oracle_a, urn_oracle_r)
 from seqcoal.stats import chi2_gof, ks_one_sample
 from seqcoal.streams import exp_inverse, nonzero_uniform, stream
 
@@ -32,19 +30,12 @@ class ScriptedRNG:
 
 
 def test_state_validation():
-    st = RAState(1, 2)
-    assert st.exact
+    RAState(1, 2)
     RAState(5, 6)
     with pytest.raises(ValueError):
         RAState(0, 5)
     with pytest.raises(ValueError):
         RAState(3, 3)
-
-
-def test_path_arrays():
-    path = RAPath([RAState(1, 2), RAState(2, 5)])
-    assert path.r_array().tolist() == [1.0, 2.0]
-    assert path.a_array().tolist() == [2.0, 5.0]
 
 
 # --- the first record -------------------------------------------------------
@@ -368,7 +359,7 @@ def _scalar_draw(kind, r, a, rng):
 # scalar samplers are pinned to them here, draw for draw on shared streams.
 # Both invert each uniform exactly, so they must agree in every draw, not
 # only in law.  "rank" is the scalar scan against the batch tabulation at
-# the criterion's states, and (2, 9); "guided" the scalar path past
+# the criterion's states, and (2, 9); "guided" sample_r_next past
 # a = 1e6 against the lockstep kernel; "position" sample_a_next against
 # _position_offsets at the criterion's c = a + r_next = 4, 20 and 100.
 @pytest.mark.parametrize("kind,r,a,draws", [
@@ -476,57 +467,52 @@ def test_a_pmf_exact_matches_urn_enumeration():
 
 
 def test_step_scripted():
-    nxt = step(RAState(1, 3), ScriptedRNG([0.2, 0.5]))
-    assert nxt == RAState(2, 9)
-    assert nxt.exact
-    assert type(nxt.r) is int and type(nxt.a) is int
+    # one transition, rank first and then position, stays in Python ints
+    st = RAState(1, 3)
+    r_next = sample_r_next(st, ScriptedRNG([0.5]))
+    a_next = sample_a_next(st, r_next, ScriptedRNG([0.5]))
+    assert (r_next, a_next) == (2, 9)
+    assert type(r_next) is int and type(a_next) is int
 
 
 def test_step_keeps_big_integers_exact():
+    # integer states past 2^53 stay Python ints through both scalar draws
     st = RAState(1, 10**20)
-    nxt = step(st, stream(23, 0))
-    assert nxt.exact
-    assert type(nxt.a) is int
-    assert nxt.a > st.a
-    assert nxt.a - nxt.r >= 1
-
-
-def test_step_flags_overflow_continuation():
-    st = RAState(1, EXACT_LIMIT - 5)
-    # u2 = 0.25 multiplies the position by roughly 7, crossing the bound
-    nxt = step(st, ScriptedRNG([0.9, 0.25]))
-    assert not nxt.exact
-    assert isinstance(nxt.a, float)
-    assert nxt.a > float(EXACT_LIMIT)
-    # the float continuation keeps stepping
-    again = step(nxt, ScriptedRNG([0.7, 0.5]))
-    assert not again.exact
-    assert again.a > nxt.a and again.r > nxt.r
-
-
-def test_sample_path_structure():
-    path = sample_path(RAState(1, 2), 12, stream(24, 0))
-    assert len(path.states) == 13
-    for s0, s1 in zip(path.states, path.states[1:]):
-        assert s1.r > s0.r
-        assert s1.a > s0.a
-        assert s1.a - s1.r >= 1
-    with pytest.raises(ValueError):
-        sample_path(RAState(1, 2), -1, stream(24, 1))
+    rng = stream(23, 0)
+    r_next = sample_r_next(st, rng)
+    a_next = sample_a_next(st, r_next, rng)
+    assert type(r_next) is int and type(a_next) is int
+    assert a_next > st.a
+    assert a_next - r_next >= 1
 
 
 def test_sample_path_default_start():
-    path = sample_path(None, 0, ScriptedRNG([0.4]))
-    assert path.states == [RAState(1, 5)]
+    # a path from the first record starts at rank 1 and the position
+    # floor(2/u) of sample_a1, drawn from the path's own stream
+    rng = ScriptedRNG([0.4])
+    R, A = sample_paths_batch(1, 0, rng, start=(1, sample_a1(rng)))
+    assert (R.tolist(), A.tolist()) == ([[1.0]], [[5.0]])
 
 
 def test_sample_paths_batch_matches_scalar_path():
-    steps = 8
-    R, A = sample_paths_batch(1, steps, stream(25, 0), start=(1, 2))
-    assert R.shape == (steps + 1, 1)
-    path = sample_path(RAState(1, 2), steps, stream(25, 0))
-    assert R[:, 0].tolist() == [float(s.r) for s in path.states]
-    assert A[:, 0].tolist() == [float(s.a) for s in path.states]
+    # the lockstep sampler against a hand loop of sample_r_next then
+    # sample_a_next on the same stream, while every state is an exact
+    # double.  The scalar rank draw scans the support up to a = 1e6 and
+    # runs the guided inversion past it, so the pin crosses that switch;
+    # it is the one pin of _invert_rank against the scan at a <= 1e6
+    checked, top = 0, 0
+    for seed in range(50):
+        R, A = sample_paths_batch(1, 40, stream(seed, 0))
+        rng = stream(seed, 0)
+        st = RAState(1, 2)
+        for r, a in zip(R[1:, 0], A[1:, 0]):
+            r_next = sample_r_next(st, rng)
+            st = RAState(r_next, sample_a_next(st, r_next, rng))
+            if st.a > 2**53:
+                break
+            assert (r, a) == (st.r, st.a), (seed, checked)
+            checked, top = checked + 1, max(top, st.a)
+    assert checked > 1500 and top > 1e15
 
 
 def test_sample_paths_batch_shapes_and_invariants():
@@ -535,7 +521,10 @@ def test_sample_paths_batch_shapes_and_invariants():
     assert np.all(np.diff(R, axis=0) > 0)
     assert np.all(np.diff(A, axis=0) > 0)
     assert np.all(A - R >= 1)
-    for start in ((2, 2), (0, 2), (-5, 2)):
+    # a start off the lattice of states: a - r < 1, r < 1, a fractional or
+    # NaN coordinate
+    for start in ((2, 2), (0, 2), (-5, 2), (1, 2.5), (1.5, 3), (math.nan, 2),
+                  (1, math.nan)):
         with pytest.raises(ValueError):
             sample_paths_batch(4, 3, stream(25, 2), start=start)
     with pytest.raises(ValueError):
@@ -581,10 +570,10 @@ def test_float_continuation_stops_at_its_limit(monkeypatch):
             ra_chain._invert_rank(np.ones(1), np.array([big]),
                                   np.log(np.array(tiny)))
         with pytest.raises(OverflowError):
-            sample_r_next(RAState(1.0, big, False), ScriptedRNG(tiny))
+            sample_r_next(RAState(1.0, big), ScriptedRNG(tiny))
         # a NaN position fails the rank check (ValueError) before this one
         with pytest.raises(OverflowError if big == big else ValueError):
-            sample_a_next(RAState(1.0, big, False), 2.0, ScriptedRNG(tiny))
+            sample_a_next(RAState(1.0, big), 2.0, ScriptedRNG(tiny))
     with pytest.raises(OverflowError):
         sample_paths_batch(4, 3, stream(27, 3), start=(1, 1e307))
     # from 1e290 the chain runs until a passes 1e300, with no stalled rank
@@ -605,9 +594,9 @@ def test_stalled_rank_raises():
     with pytest.raises(OverflowError, match="rank stalled at step 1:"):
         sample_paths_batch(20, 200, stream(3, 0), start=start)
     with pytest.raises(OverflowError, match="rank stalled at 1e\\+20:"):
-        sample_path(RAState(*start, False), 5, stream(3, 0))
+        sample_r_next(RAState(*start), stream(3, 0))
     with pytest.raises(OverflowError, match="rank stalled at"):
-        sample_r_next(RAState(1e40, 1e42, False), ScriptedRNG([0.5]))
+        sample_r_next(RAState(1e40, 1e42), ScriptedRNG([0.5]))
     # from (1, 2) an x below ulp(r) has probability about 2^-51 per
     # lane-step, so 200 steps raise every rank
     R, A = sample_paths_batch(20, 200, stream(3, 0))
@@ -629,7 +618,3 @@ def test_rescaled_rank_keeps_its_limit_law_past_1e28():
     # the last state of every lane, one independent draw each, past 1e36
     rep = ks_one_sample(xi[-1], "exp1")
     assert rep.passed, rep.to_dict()
-
-
-def test_exact_limit_is_unsigned_128_bit_bound():
-    assert EXACT_LIMIT == 2**127 - 1

@@ -161,6 +161,14 @@ def test_extract_records_rejects_ties():
         extract_records([1.0, 2.0, 1.0])
 
 
+def test_extract_records_rejects_non_positive_gamma():
+    # the horizon N / gamma: gamma = 0 would divide by zero, and a negative
+    # gamma would certify no pair
+    for gamma in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            extract_records([5, 3, 4, 2, 1], gamma=gamma)
+
+
 def test_extract_records_certification_with_true_ranks():
     # Global ranks for the window 2..6 (1 = largest overall).  Every rank up
     # to each pair's successor rank is attained inside the window, except
