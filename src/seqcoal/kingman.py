@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import exp_inverse
+from .streams import nonzero_uniform
 
 __all__ = [
     "Partition",
@@ -186,22 +186,27 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
     """Simulate the n-individual coalescent directly.
 
     With b blocks the holding time is exponential with rate b(b-1)/2 and the
-    merging pair is uniform among blocks.  An exact floating tie with the
-    previous event time (possible only by underflow) is redrawn.
+    merging pair is uniform among blocks.  One block of n - 1 rows of
+    uniforms (u_hold, u_i, u_j) is drawn up front: the holding time is
+    -ln(u_hold)/rate, and the pair is i = floor(u_i b) and j = floor(u_j (b-1))
+    stepped past i.  An exact floating tie with the previous event time
+    (possible only by underflow) is redrawn from the generator after the
+    block.
     """
     if n < 1:
         raise ValueError("need at least one individual")
     roots = list(range(1, n + 1))  # live block labels, ascending
     t = 0.0
     times, block_a, block_b = [], [], []
-    for b in range(n, 1, -1):
+    rows = nonzero_uniform(rng, (n - 1, 3)).tolist()
+    for b, (u_hold, u_i, u_j) in zip(range(n, 1, -1), rows):
         rate = b * (b - 1) / 2.0
-        t_next = t + exp_inverse(rng) / rate
+        t_next = t - math.log(u_hold) / rate
         while t_next == t:
-            t_next = t + exp_inverse(rng) / rate
+            t_next = t - math.log(nonzero_uniform(rng)) / rate
         t = t_next
-        i = int(rng.integers(b))
-        j = int(rng.integers(b - 1))
+        i = int(u_i * b)
+        j = int(u_j * (b - 1))
         if j >= i:
             j += 1
         if j < i:
@@ -259,21 +264,26 @@ def invert_cumulative_hazard(traj: Trajectory, target: float) -> float:
     return _invert_hazard(traj.times, traj.n, target)
 
 
-def _draw_length(times: list, n: int, rng: np.random.Generator) -> float:
-    """Length of individual n + 1, redrawn while it ties an event time."""
+def _draw_length(times: list, n: int, u: float,
+                 rng: np.random.Generator) -> float:
+    """Length of individual n + 1 at the hazard -ln(u); a length that ties
+    an event time is redrawn with a fresh uniform from rng."""
     while True:
-        length = _invert_hazard(times, n, exp_inverse(rng))
+        length = _invert_hazard(times, n, -math.log(u))
         pos = bisect_left(times, length)
         if pos == len(times) or times[pos] != length:
             return length
+        u = nonzero_uniform(rng)
 
 
 def _merge(times: list, block_a: list, block_b: list, n: int, length: float,
-           rng: np.random.Generator):
+           u: float):
     """Merge individual n + 1 at L, in place, into a uniform block just before
-    L: the k-th live label is k + 1 stepped past the labels retired by then."""
+    L: with m = n - pos live labels there, the k-th one for k = floor(u m),
+    which is k + 1 stepped past the labels retired by then.  For u in
+    [0, 1) and m < 2^53, u m rounds below m, so k < m."""
     pos = bisect_left(times, length)
-    label = int(rng.integers(n - pos)) + 1
+    label = int(u * (n - pos)) + 1
     for b in sorted(block_b[:pos]):
         if b > label:
             break
@@ -286,17 +296,20 @@ def _merge(times: list, block_a: list, block_b: list, n: int, length: float,
 def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
     """Add one individual to a complete trajectory.
 
-    Draws a standard exponential, inverts the cumulative hazard to get the
-    new individual's length L, and merges it into a uniformly chosen block of
-    the partition just before L.  A draw whose L exactly equals an existing
-    event time is rejected and redrawn.  Returns (L, extended trajectory).
+    Draws one row of two uniforms (u_length, u_partner).  Inverts the
+    cumulative hazard at the exponential -ln(u_length) to get the new
+    individual's length L, and merges it into a uniformly chosen block of
+    the partition just before L, picked by u_partner.  A draw whose L
+    exactly equals an existing event time is rejected and redrawn.
+    Returns (L, extended trajectory).
     """
     if not traj.is_complete:
         raise ValueError("trajectory is not complete")
     times = list(traj.times)
     block_a, block_b = list(traj.block_a), list(traj.block_b)
-    length = _draw_length(times, traj.n, rng)
-    _merge(times, block_a, block_b, traj.n, length, rng)
+    u_length, u_partner = nonzero_uniform(rng, 2).tolist()
+    length = _draw_length(times, traj.n, u_length, rng)
+    _merge(times, block_a, block_b, traj.n, length, u_partner)
     return length, _trusted(Trajectory, n=traj.n + 1, times=times,
                             block_a=block_a, block_b=block_b)
 
@@ -304,13 +317,17 @@ def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
 def build_pebls(n_max: int, rng: np.random.Generator) -> tuple:
     """Grow a trajectory from a single individual up to n_max, collecting the
     length of each added individual.  Returns (length sequence, trajectory).
-    Runs the two parts of extend_recursive on the lists it hands over."""
+    Runs the two parts of extend_recursive on the lists it hands over, with
+    row k of one (n_max - 1, 2) block of uniforms for the k-th individual
+    added; so on one stream it draws what n_max - 1 calls of
+    extend_recursive draw."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     times, block_a, block_b, lengths = [], [], [], []
-    for n in range(1, n_max):
-        lengths.append(_draw_length(times, n, rng))
-        _merge(times, block_a, block_b, n, lengths[-1], rng)
+    rows = nonzero_uniform(rng, (n_max - 1, 2)).tolist()
+    for n, (u_length, u_partner) in enumerate(rows, start=1):
+        lengths.append(_draw_length(times, n, u_length, rng))
+        _merge(times, block_a, block_b, n, lengths[-1], u_partner)
     return (_trusted(PeblsSequence, n_max=n_max, lengths=lengths),
             _trusted(Trajectory, n=n_max, times=times, block_a=block_a,
                      block_b=block_b))
@@ -323,14 +340,16 @@ def reconstruct_from_pebls(pebls: PeblsSequence,
     Individual n merges at its length L_n into the cluster of a partner
     drawn uniformly from 1 and every j < n with L_j > L_n: the live labels
     just before L_n, from which the merge step of build_pebls draws when run
-    on the given lengths in order.  The result is a valid trajectory: just
-    before L_n both n and its partner still head distinct clusters, because
-    each individual heads its cluster until its own length and the
+    on the given lengths in order.  The partner uniforms are one block of
+    n_max - 1 draws, one per individual.  The result is a valid trajectory:
+    just before L_n both n and its partner still head distinct clusters,
+    because each individual heads its cluster until its own length and the
     partner's length exceeds L_n.  So the event is (L_n, partner, n).
     """
     times, block_a, block_b = [], [], []
-    for n, length in enumerate(pebls.lengths, start=1):
-        _merge(times, block_a, block_b, n, length, rng)
+    us = rng.random(pebls.n_max - 1).tolist()
+    for n, (length, u) in enumerate(zip(pebls.lengths, us), start=1):
+        _merge(times, block_a, block_b, n, length, u)
     return _trusted(Trajectory, n=pebls.n_max, times=times, block_a=block_a,
                     block_b=block_b)
 

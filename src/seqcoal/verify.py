@@ -485,6 +485,24 @@ _MRCA_N = 10
 _MRCA_MEAN = 2.0 * (1.0 - 1.0 / _MRCA_N)
 
 
+def _direct_tree(rng) -> kingman.Trajectory:
+    return kingman.simulate_kingman(_MRCA_N, rng)
+
+
+def _recursive_tree(rng) -> kingman.Trajectory:
+    return kingman.build_pebls(_MRCA_N, rng)[1]
+
+
+def _reconstructed_tree(rng) -> kingman.Trajectory:
+    return kingman.reconstruct_from_pebls(kingman.build_pebls(_MRCA_N, rng)[0],
+                                          rng)
+
+
+# module-level builders, so a chunk callable pickles by reference
+_MRCA_ROUTES = {"direct": _direct_tree, "recursive": _recursive_tree,
+                "reconstructed": _reconstructed_tree}
+
+
 def _mrca_chunk(build, rng, size) -> np.ndarray:
     """MRCA times of `size` trajectories, each from build(rng)."""
     return np.fromiter((kingman.time_to_mrca(build(rng)) for _ in range(size)),
@@ -493,16 +511,10 @@ def _mrca_chunk(build, rng, size) -> np.ndarray:
 
 def c11_construction_equivalence(seed: int) -> CriterionResult:
     total = 10**5
-    routes = {
-        "direct": lambda rng: kingman.simulate_kingman(_MRCA_N, rng),
-        "recursive": lambda rng: kingman.build_pebls(_MRCA_N, rng)[1],
-        "reconstructed": lambda rng: kingman.reconstruct_from_pebls(
-            kingman.build_pebls(_MRCA_N, rng)[0], rng),
-    }
     samples = {}
     details = {}
     passed = True
-    for idx, (name, build) in enumerate(routes.items()):
+    for idx, (name, build) in enumerate(_MRCA_ROUTES.items()):
         vals = np.concatenate(_map_chunks(
             functools.partial(_mrca_chunk, build), total, seed, 11, idx))
         samples[name] = vals
@@ -513,7 +525,7 @@ def c11_construction_equivalence(seed: int) -> CriterionResult:
         details[f"z_{name}"] = _round6(z)
         passed = passed and abs(mean - _MRCA_MEAN) <= 3 * se
 
-    names = list(routes)
+    names = list(_MRCA_ROUTES)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             rep = ks_two_sample(samples[names[i]], samples[names[j]])

@@ -6,11 +6,16 @@ report-determinism criterion is exercised end to end through the command
 line in subprocesses.
 """
 
+import functools
+import pickle
 import subprocess
 import sys
 import time
 
+import numpy as np
+
 from seqcoal import verify
+from seqcoal.streams import stream
 
 SEED = 0
 
@@ -82,6 +87,16 @@ def test_c10_rank_tightness():
 
 def test_c11_construction_equivalence():
     _run(11)
+
+
+def test_c11_chunk_callables_pickle():
+    # a process pool ships each chunk callable by reference: unpickled, it
+    # is the same builder and gives the same MRCA times on the same stream
+    for build in verify._MRCA_ROUTES.values():
+        chunk = functools.partial(verify._mrca_chunk, build)
+        copy = pickle.loads(pickle.dumps(chunk))
+        assert copy.args == (build,)
+        assert np.array_equal(copy(stream(0, 11, 0), 5), chunk(stream(0, 11, 0), 5))
 
 
 def test_c12_report_determinism():

@@ -44,13 +44,13 @@ def test_pebls_csv(capsys):
 
 @pytest.mark.parametrize("argv,digest", [
     (["simulate"],
-     "5dc6bcc4f86e795c138ee4b0fc01b3d6f8d952b3fc5a82897aa72b30a4598c28"),
+     "03b268a838007a7da8a004c6c84e6ac350ef786779776d049700160180fa630c"),
     (["pebls"],
-     "434360eee11a99c5643151534da8ffe931bdfbb6942be6cb249640fbf4818630"),
+     "41f79bf402bdd34b3ea488c5b749d5ef09a86dbff3ff190794a43d956f115e44"),
     (["simulate", "--format", "json"],
-     "2127c12969a1383be46d3bb4c681fd7e93963028042f5ecb0bb6c47906f4388e"),
+     "ebebc6736b0669f3e9e750f7d7f50e161b1428d7fe3396fc398c074d46f4b32d"),
     (["pebls", "--format", "json"],
-     "69a898b56e3f285c3d76c0ad9a66552cb9b4643b6db5e1d4741ab857c8afdcaa"),
+     "9fc9352864571314b60dc6a6f4c75b762a021cc7661ca609c7a2c6ebd6179f3b"),
     (["ra-sample"],
      "3ab4cf9a71673a4c4b312cecdfcf7beec0d43173557d9767997a4c04642ec7b8"),
     (["ra-sample", "--format", "json"],

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from seqcoal.kingman import (Partition, PeblsSequence, Trajectory,
-                             TrajectoryEvent, build_pebls, cumulative_hazard,
-                             extend_recursive, invert_cumulative_hazard,
-                             reconstruct_from_pebls, simulate_kingman,
-                             time_to_mrca)
+                             TrajectoryEvent, _merge, build_pebls,
+                             cumulative_hazard, extend_recursive,
+                             invert_cumulative_hazard, reconstruct_from_pebls,
+                             simulate_kingman, time_to_mrca)
 from seqcoal.stats import chi2_gof, chi2_two_sample, ks_one_sample
 from seqcoal.streams import stream
 
@@ -161,6 +161,61 @@ def test_build_pebls_is_repeated_extension(n):
     assert built.events == traj.events
 
 
+@pytest.mark.parametrize("n", [2, 10, 160])
+def test_simulate_reads_one_block_of_rows(n):
+    # event k reads row k of one (n - 1, 3) block: hold -ln(u_hold)/rate,
+    # then label floor(u_i b) of the b live ones and label floor(u_j (b - 1))
+    # of the others
+    rows = stream(37, n).random((n - 1, 3)).tolist()
+    live = list(range(1, n + 1))
+    t, events = 0.0, []
+    for b, (u_hold, u_i, u_j) in zip(range(n, 1, -1), rows):
+        t += -math.log(u_hold) / (b * (b - 1) / 2)
+        first = live[int(u_i * b)]
+        others = [label for label in live if label != first]
+        second = others[int(u_j * (b - 1))]
+        events.append(TrajectoryEvent(t, min(first, second), max(first, second)))
+        live.remove(max(first, second))
+    assert simulate_kingman(n, stream(37, n)).events == events
+
+
+@pytest.mark.parametrize("n", [2, 10, 160])
+def test_build_pebls_reads_one_block_of_rows(n):
+    # individual m + 1 reads row m of one (n - 1, 2) block: its length
+    # inverts the hazard at -ln(u_length), and its partner is entry
+    # floor(u_partner len) of the eligible list 1, then every j <= m with
+    # L_j > L
+    rows = stream(38, n).random((n - 1, 2)).tolist()
+    traj, lengths = Trajectory(1, []), []
+    for m, (u_length, u_partner) in enumerate(rows, start=1):
+        length = invert_cumulative_hazard(traj, -math.log(u_length))
+        eligible = [1] + [j for j in range(2, m + 1) if lengths[j - 2] > length]
+        partner = eligible[int(u_partner * len(eligible))]
+        lengths.append(length)
+        traj = Trajectory(m + 1, sorted(
+            traj.events + [TrajectoryEvent(length, partner, m + 1)],
+            key=lambda ev: ev.time))
+    pebls, built = build_pebls(n, stream(38, n))
+    assert pebls.lengths == lengths
+    assert built == traj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 2**20, 2**53 - 1])
+def test_merge_end_uniforms_pick_end_labels(n):
+    # floor(u m) over m live labels: u = 0 picks the first and the largest
+    # double below 1 the last, so the index never reaches m.  Below every
+    # event all n labels are live; in the n = 3 history below, label 2 is
+    # retired at 0.5, so just before 1.0 the live labels are 1 and 3
+    for u, label in ((0.0, 1), (1.0 - 2.0**-53, n)):
+        times, block_a, block_b = [], [], []
+        _merge(times, block_a, block_b, n, 0.25, u)
+        assert (times, block_a, block_b) == ([0.25], [label], [n + 1])
+    for u, label in ((0.0, 1), (1.0 - 2.0**-53, 3)):
+        times, block_a, block_b = [0.5, 1.5], [1, 1], [2, 3]
+        _merge(times, block_a, block_b, 3, 1.0, u)
+        assert block_a[1] == label and block_b[1] == 4
+
+
 def test_reconstruct_two_individuals_is_forced():
     pebls = PeblsSequence(2, [0.7])
     traj = reconstruct_from_pebls(pebls, stream(9, 0))
@@ -177,15 +232,17 @@ def test_reconstruct_preserves_lengths_and_mrca():
 
 
 def _reconstruct_by_eligible_lists(pebls, rng):
-    """The partner rule written out: individual n's partner is drawn
-    uniformly from the list of 1 and every j < n with L_j > L_n, and the
-    events are laid out by sorting the lengths."""
+    """The partner rule written out: individual n's partner is entry
+    floor(u len) of the list of 1 and every j < n with L_j > L_n, with u
+    read from one block of uniforms, and the events are laid out by sorting
+    the lengths."""
     lengths = pebls.lengths
     partners = []
-    for n in range(2, pebls.n_max + 1):
+    us = rng.random(pebls.n_max - 1).tolist()
+    for n, u in zip(range(2, pebls.n_max + 1), us):
         ln = lengths[n - 2]
         eligible = [1] + [i for i, v in zip(range(2, n), lengths) if v > ln]
-        partners.append(eligible[int(rng.integers(len(eligible)))])
+        partners.append(eligible[int(u * len(eligible))])
     order = sorted(range(len(lengths)), key=lengths.__getitem__)
     return Trajectory(pebls.n_max, [TrajectoryEvent(lengths[k], partners[k], k + 2)
                                     for k in order])
@@ -258,7 +315,7 @@ def test_builder_events_pinned():
                 for ev in traj.events:
                     h.update(f"{ev.time.hex()},{ev.block_a},{ev.block_b};".encode())
     assert h.hexdigest() == (
-        "f6046adca4048722080dd0d7db4e5a809eeaa55da7f7c0407dbf0ec58542f926")
+        "0ac2a392c71eecb0b4baa24ab309f5c92ba8b0634279cf2fa8aeb03835d9447f")
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 160])
