@@ -56,6 +56,18 @@ _FLOAT_LIMIT = 1e300
 # Every integer below this is an exact double.
 _EXACT_DOUBLE = 2**53
 
+# Largest position at which a lane left open by the first guided point takes
+# the second.  One rank step moves the log tail by about 2/sqrt(a); near
+# a = 1e30 that is its rounding, and a settle read off the one-step ratio
+# and the gallop's direct evaluation can put ln u on different sides of one
+# tail value, so the second point returns some draws one rank off those of
+# the gallop alone: with r near sqrt(a Exp(1)), 1 lane in 4e5 at a in
+# 1e21-1e22, 1 in 440 at 1e28-1e29, and none of 5.2e6 at 1e8-1e21.  Past
+# this bound the lanes gallop from the first point, so seeded paths that
+# run that far, as `seqcoal ra-sample --steps 100` does, keep the draws of
+# the gallop.
+_SECOND_POINT_LIMIT = 2.0**53
+
 # Rank-law products of this many ratios or more are multiplied by
 # np.cumprod, shorter ones by the Python loop, which costs less to set up.
 # On a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), r_tail at (300, 1e9) took
@@ -71,9 +83,15 @@ _CUMPROD_MIN = 64
 _CUMPROD_BLOCK = 2**16
 
 
+# Types whose values are whole numbers; _check_state passes them on type.
+_WHOLE = (int, np.integer)
+
+
 @dataclass
 class RAState:
-    """One record: rank r of the record length, position a of its holder."""
+    """One record: rank r of the record length, position a of its holder.
+
+    ValueError unless it is a state of the chain (see _check_state)."""
 
     r: int
     a: int
@@ -83,6 +101,12 @@ class RAState:
 
 
 def _check_state(r, a):
+    """ValueError unless (r, a) is a state of the chain: both whole numbers
+    (ints of any size pass on their type; a float must be finite and
+    integral), r >= 1 and a - r >= 1."""
+    if not ((isinstance(r, _WHOLE) or float(r).is_integer())
+            and (isinstance(a, _WHOLE) or float(a).is_integer())):
+        raise ValueError("rank and position must be whole numbers")
     if r < 1:
         raise ValueError("rank must be >= 1")
     if a - r < 1:
@@ -232,6 +256,24 @@ def _log_r_tail(r, a, x):
     return log_gamma_diff(a - r, 2.0 * r + x, x - 1.0)
 
 
+def _settle(r, a, log_u, t, v):
+    """Settle the lanes whose answer is t or t + 1, given v = L(t + 1).
+
+    The one-step ratio tail(y + 1) = tail(y) (a - r - y)/(a + r + y) gives
+    q = ln[1 - (2r + 2t + 2s)/(a + r + t + s)], with s = 0 where v <= ln u
+    (down: the answer is t or below; q = L(t + 1) - L(t)) and s = 1 where
+    not (up: q = L(t + 2) - L(t + 1)), so one log1p per lane yields L(t) or
+    L(t + 2).  Returns (hit, answer, down, q): hit marks the lanes whose u
+    falls between L(t + 2) and L(t), and answer = t + s is theirs.
+    """
+    down = v <= log_u
+    s = np.where(down, 0.0, 1.0)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: t + 1 = a - r
+        q = np.log1p(-(2.0 * r + 2.0 * t + 2.0 * s) / (a + r + t + s))
+    hit = np.where(down, v - q > log_u, v + q <= log_u)
+    return hit, t + s, down, q
+
+
 def _invert_rank(r, a, log_u):
     """Smallest x in [1, a - r] with _log_r_tail(r, a, x + 1) <= log_u, per
     lane, for float arrays r, a and log_u of one shape.
@@ -241,16 +283,24 @@ def _invert_rank(r, a, log_u):
     the tail's leading-order approximation exp(-(x - 1)(2r + x)/a) equals u,
     clipped to [1, a - r - 1].  One tail evaluation v = L(t + 1) there, with
     the one-step ratio tail(y + 1) = tail(y) (a - r - y)/(a + r + y), gives
-    L(t) and L(t + 2) as well; a lane whose u falls between L(t + 2) and
-    L(t) returns t or t + 1 with no further evaluation.  That settles nearly
-    every lane once a is past a few thousand.  On the other lanes steps
-    doubling away from t find a bracket, and bisection closes it.  x = a - r
-    needs no evaluation (its tail is 0), so lanes with a - r = 1 are never
-    evaluated.  Every later evaluation runs on the lanes still open,
-    gathered by index.  The tail is good to a few ulps of its value for
-    every a up to _FLOAT_LIMIT, so the draw is the exact inverse whenever u
-    is further than that from a tail value.  Raises OverflowError if some a
-    is above _FLOAT_LIMIT or not a number.
+    L(t) or L(t + 2) as well (_settle); a lane whose u falls between
+    L(t + 2) and L(t) returns t or t + 1 with no further evaluation.  That
+    settles nearly every lane once a is past a few thousand.  A lane left
+    open takes a second point: one Newton step on the log tail from the
+    first, t + floor((ln u - v)/q) with the log ratio q as its slope, which
+    moves at least one step the way the first point pointed; one more
+    evaluation there settles it the same way.  Lanes with a past
+    _SECOND_POINT_LIMIT skip it and gallop from the first point.  On
+    20 x 1563 paths of 29 steps from (1, 2), the first point left 4416 of
+    867 840 lane-steps open and the second settled all of them.  On the
+    lanes still open, steps doubling away from the last point find a
+    bracket, and bisection closes it.  x = a - r needs no evaluation (its
+    tail is 0), so lanes with a - r = 1 are never evaluated.  Every later
+    evaluation runs on the lanes still open, gathered by index.  The tail
+    is good to a few ulps of its value for every a up to _FLOAT_LIMIT, so
+    the draw is the exact inverse whenever u is further than that from a
+    tail value.  Raises OverflowError if some a is above _FLOAT_LIMIT or
+    not a number.
     """
     if not np.all(a <= _FLOAT_LIMIT):
         raise OverflowError(
@@ -266,24 +316,35 @@ def _invert_rank(r, a, log_u):
     ae = -a * log_u
     with np.errstate(over="ignore"):  # b * b = inf (r > 6e153) gives g = 1
         g = np.floor(1.0 + 2.0 * ae / (b + np.sqrt(b * b + 4.0 * ae)))
-    t = np.clip(g, 1.0, max_x - 1.0)  # the point each lane tests
+    t = np.minimum(np.maximum(g, 1.0), max_x - 1.0)  # the first point
     v = _log_r_tail(r, a, t + 1.0)
-    down = v <= log_u  # true: the answer is t or below
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: t + 1 = a - r
-        hit = np.where(
-            down,
-            v - np.log1p(-(2.0 * r + 2.0 * t) / (a + r + t)) > log_u,
-            v + np.log1p(-(2.0 * r + 2.0 * t + 2.0) / (a + r + t + 1.0)) <= log_u)
-    x[idx[hit]] = np.where(down, t, t + 1.0)[hit]
+    hit, answer, _, q = _settle(r, a, log_u, t, v)
+    x[idx[hit]] = answer[hit]
     keep = ~hit
     if not keep.any():
         return x
-    idx, r, a, log_u, t, down = (idx[keep], r[keep], a[keep], log_u[keep],
-                                 t[keep], down[keep])
+    idx, r, a, log_u, max_x, t, v, q = (
+        w[keep] for w in (idx, r, a, log_u, max_x, t, v, q))
+    # the second point; a lane past _SECOND_POINT_LIMIT, or whose Newton
+    # step is not finite (q rounded to 0), stays at t, where v is known
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        newton = np.floor((log_u - v) / q)
+    moved = np.isfinite(newton) & (a <= _SECOND_POINT_LIMIT)
+    if moved.any():
+        t = np.where(moved, np.minimum(np.maximum(t + newton, 1.0),
+                                       max_x - 1.0), t)
+        v[moved] = _log_r_tail(r[moved], a[moved], t[moved] + 1.0)
+    hit, answer, down, _ = _settle(r, a, log_u, t, v)
+    x[idx[hit]] = answer[hit]
+    keep = ~hit
+    if not keep.any():
+        return x
+    idx, r, a, log_u, max_x, t, down = (
+        w[keep] for w in (idx, r, a, log_u, max_x, t, down))
     # the lanes left have L(t) <= ln u (down) or L(t + 2) > ln u (up): the
     # gallop's first move, to t - 1 or t + 1, is already evaluated
     t = np.where(down, t - 1.0, t + 1.0)
-    lo, hi = np.ones_like(t), max_x[keep]  # the answer lies in [lo, hi]
+    lo, hi = np.ones_like(t), max_x  # the answer lies in [lo, hi]
     cond = down
     # gallop step, doubled per move and 0 once bisecting; past 2^53 it
     # starts at the float spacing of t, so that the first move moves
@@ -494,8 +555,6 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     if steps < 0:
         raise ValueError("steps must be >= 0")
     r0, a0 = start
-    if not (float(r0).is_integer() and float(a0).is_integer()):
-        raise ValueError("start rank and position must be whole numbers")
     _check_state(r0, a0)
     if not a0 <= _FLOAT_LIMIT:
         raise OverflowError(f"start position above {_FLOAT_LIMIT:g}")

@@ -207,8 +207,11 @@ def c04_tail_identities(seed: int) -> CriterionResult:
     worst_sum = 0.0
     for r, a in _log_grid_states():
         state = ra_chain.RAState(r, a)
-        for x in _x_probe(r, a):
-            diff = ra_chain.r_tail(state, x) - ra_chain.r_tail(state, x + 1)
+        probes = _x_probe(r, a)
+        # tails[x - 1] = r_tail(state, x), bit for bit (see _ratio_product)
+        tails = ra_chain.r_tail_vector(r, a, max_x=probes[-1]).tolist()
+        for x in probes:
+            diff = tails[x - 1] - tails[x]
             worst_diff = max(worst_diff, abs(diff - ra_chain.r_pmf(state, x)))
         if a <= 10**4:
             pmf = ra_chain.r_pmf_vector(r, a)

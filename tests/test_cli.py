@@ -84,6 +84,18 @@ def test_default_output_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_ra_sample_past_the_second_point_limit_pinned(capsys):
+    # by step 100 most positions are past ra_chain._SECOND_POINT_LIMIT
+    # (median about 1e44), where a lane the guided inversion's first point
+    # leaves open gallops from it.  A second point there moves some draws
+    # by one rank: at 50 seeds, every one had a path move between steps 45
+    # and 60
+    rc, out, _ = run_cli(capsys, "ra-sample", "--steps", "100")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f362553b80ef4a284439bd75613349209062877a9489981bbfbd6d0c1b3d755")
+
+
 def test_ra_sample_csv(capsys):
     rc, out, _ = run_cli(capsys, "ra-sample", "--paths", "3", "--steps", "5")
     assert rc == 0

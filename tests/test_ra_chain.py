@@ -36,6 +36,14 @@ def test_state_validation():
         RAState(0, 5)
     with pytest.raises(ValueError):
         RAState(3, 3)
+    # whole numbers only: ints of any size and integral floats pass
+    RAState(1, 10**40)
+    RAState(np.int64(2), np.int64(9))
+    RAState(1.0, 1e307)
+    # (the float-continuation test builds (1.0, inf) and (1.0, nan))
+    for r, a in ((1, 2.5), (1.5, 3), (math.nan, 5), (1, -math.inf)):
+        with pytest.raises(ValueError):
+            RAState(r, a)
 
 
 # --- the first record -------------------------------------------------------
@@ -301,6 +309,30 @@ def test_guided_inversion_evaluates_few_points(monkeypatch):
     # every lane here, where a bisection over the support would take about
     # 40 evaluations of every lane
     assert calls == [n]
+
+
+def test_guided_inversion_settles_by_the_second_point(monkeypatch):
+    # a lane the first point leaves open takes a Newton step on the log
+    # tail; one evaluation there settles every lane of these bands, where
+    # ranks near sqrt(a Exp(1)) are the chain's own
+    rng = stream(27, 4)
+    n = 20_000
+    for lo, hi in ((1.0, 3.0), (3.0, 5.0), (5.0, 9.0)):
+        a = np.floor(10.0 ** rng.uniform(lo, hi, n))
+        r = np.minimum(np.floor(np.sqrt(a * rng.exponential(1.0, n))) + 1.0,
+                       a - 1.0)
+        log_u = np.log(rng.random(n))
+        calls = []
+
+        def counted(z, gap, m):
+            calls.append(np.size(z))
+            return log_gamma_diff(z, gap, m)
+
+        monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
+        got = ra_chain._invert_rank(r, a, log_u)
+        monkeypatch.undo()
+        assert np.array_equal(got, _reference_inversion(r, a, log_u))
+        assert len(calls) == 2, (lo, calls)
 
 
 def _boundary_cases(mp):
@@ -569,11 +601,15 @@ def test_float_continuation_stops_at_its_limit(monkeypatch):
         with pytest.raises(OverflowError):
             ra_chain._invert_rank(np.ones(1), np.array([big]),
                                   np.log(np.array(tiny)))
-        with pytest.raises(OverflowError):
-            sample_r_next(RAState(1.0, big), ScriptedRNG(tiny))
-        # a NaN position fails the rank check (ValueError) before this one
-        with pytest.raises(OverflowError if big == big else ValueError):
-            sample_a_next(RAState(1.0, big), 2.0, ScriptedRNG(tiny))
+    # an infinite or NaN position is no state; 1e307 is one, and the
+    # scalar samplers' own checks stop it
+    for big in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RAState(1.0, big)
+    with pytest.raises(OverflowError):
+        sample_r_next(RAState(1.0, 1e307), ScriptedRNG(tiny))
+    with pytest.raises(OverflowError):
+        sample_a_next(RAState(1.0, 1e307), 2.0, ScriptedRNG(tiny))
     with pytest.raises(OverflowError):
         sample_paths_batch(4, 3, stream(27, 3), start=(1, 1e307))
     # from 1e290 the chain runs until a passes 1e300, with no stalled rank
