@@ -34,6 +34,10 @@ __all__ = [
 # has the parity of its stream position
 _BLOCK = 64
 
+# uniforms per generator call in batch_first_record, so that its memory
+# does not grow with the number of replicates
+_FIRST_RECORD_BLOCK = 2**15
+
 
 def _height_count(tol: float) -> int:
     """Number of stick heights to materialize so that truncating the
@@ -310,15 +314,20 @@ def batch_first_record(replicates: int, rng: np.random.Generator,
     Only the first stick and individuals up to `cap` matter: the first
     record closes at the first individual landing on the opposite side of
     stick 1 from individual 1.  Entries are 0 where all `cap` individuals
-    fell on one side (the position exceeds cap).  Memory is replicates * cap
-    doubles, so chunk large runs.
+    fell on one side (the position exceeds cap).  The stick positions come
+    first, then the (replicates, cap) individual positions in blocks of
+    rows of about _FIRST_RECORD_BLOCK values: the same values in the same
+    order as one draw, so memory does not grow with `replicates`.
     """
     if cap < 2:
         raise ValueError("need cap >= 2")
     u = rng.random(replicates)
-    v = rng.random((replicates, cap))
-    sides = v < u[:, None]
-    flipped = sides != sides[:, :1]
-    found = flipped.any(axis=1)
-    first = flipped.argmax(axis=1)
-    return np.where(found, first + 1, 0).astype(np.int64)
+    first = np.empty(replicates, dtype=np.int64)
+    rows = max(1, _FIRST_RECORD_BLOCK // cap)
+    for lo in range(0, replicates, rows):
+        hi = min(lo + rows, replicates)
+        sides = rng.random((hi - lo, cap)) < u[lo:hi, None]
+        flipped = sides != sides[:, :1]
+        first[lo:hi] = np.where(flipped.any(axis=1),
+                                flipped.argmax(axis=1) + 1, 0)
+    return first

@@ -180,9 +180,8 @@ def _cmd_pmf(args) -> int:
         if args.r < 2:
             raise ValueError("position law needs --r >= 2 (a freshly "
                              "attained rank is always at least 2)")
-        prior = ra_chain.RAState(args.r - 1, args.a)
-        probs = [ra_chain.a_pmf(prior, args.r, y)
-                 for y in range(1, args.cutoff + 1)]
+        probs = ra_chain.a_pmf_vector(args.r - 1, args.a, args.r,
+                                      args.cutoff).tolist()
     if args.format == "json":
         return _write_json(args, {"kind": args.kind, "r": args.r, "a": args.a,
                                   "first_offset": 1, "probs": probs})

@@ -39,7 +39,7 @@ def sample_limit_batch(xi0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     of xi0's shape, and returns (xi0 + X) exp(-eta).  Raises ValueError
     unless every start is finite and >= 0.
     """
-    if not np.all((xi0 >= 0.0) & (xi0 < np.inf)):
+    if np.count_nonzero((xi0 >= 0.0) & (xi0 < np.inf)) < xi0.size:
         raise ValueError("xi must be finite and >= 0")
     x = exp_inverse(rng, xi0.shape)
     eta = exp_inverse(rng, xi0.shape)

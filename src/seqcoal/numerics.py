@@ -39,6 +39,7 @@ def _stirling_remainder(w, w_min):
             * inv2) * inv
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def log_gamma_diff(z, gap, m):
     """[lnGamma(z) - lnGamma(z - m)] - [lnGamma(z2) - lnGamma(z2 - m)], with
     z2 = z + gap, for gap >= 0 and 0 <= m <= z elementwise.
@@ -68,39 +69,38 @@ def log_gamma_diff(z, gap, m):
     z2 = np.add(z, gap, out=w[1])
     rest = np.subtract(z, m, out=w[2])
     np.subtract(z2, m, out=w[3])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = m / w[:2]
-        lg = np.log1p(-t)
-        # z g(t) = m t (g(t)/t^2), with as many series terms as the largest
-        # t needs; past the series cutoff, (z - m) log1p(-t) + m
-        top = t.max(initial=0.0)
-        k = 0
-        while k < len(_SERIES_T) - 1 and _SERIES_T[k] < top:
-            k += 1
-        s = t * _G_COEFFS[k]
-        for c in reversed(_G_COEFFS[:k]):
-            s += c
-            s *= t
-        s *= m
-        if top >= _SERIES_CUTOFF:
-            s = np.where(t < _SERIES_CUTOFF, s, w[2:] * lg + m)
-        # row i: z_i g(t_i) - log1p(-t_i)/2 - B(z_i) + B(z_i - m); the
-        # result takes row 1 minus row 0
-        rest_min = rest.min()  # the smallest of the four arguments
-        b = _stirling_remainder(w, rest_min)
-        s -= 0.5 * lg
-        s -= b[:2]
-        s += b[2:]
-        out = m * np.log1p(-gap / z2) + (s[1] - s[0])
-        if rest_min < _STIRLING_CUTOFF:
-            # the first difference from gammaln; the second too where z2 - m
-            # is also below the cutoff, else lnGamma(z2) - lnGamma(z2 - m) =
-            # m ln z2 - row 1, whose rounding is about m ln z2 ulps
-            # where gammaln's would be about z2 ln z2
-            low = rest < _STIRLING_CUTOFF
-            zl, gl, rl, hl = w[:, low]
-            second = np.where(
-                hl < _STIRLING_CUTOFF, gammaln(gl) - gammaln(hl),
-                np.broadcast_to(m, w.shape[1:])[low] * np.log(gl) - s[1][low])
-            out[low] = (gammaln(zl) - gammaln(rl)) - second
+    t = m / w[:2]
+    lg = np.log1p(-t)
+    # z g(t) = m t (g(t)/t^2), with as many series terms as the largest
+    # t needs; past the series cutoff, (z - m) log1p(-t) + m
+    top = t.max(initial=0.0)
+    k = 0
+    while k < len(_SERIES_T) - 1 and _SERIES_T[k] < top:
+        k += 1
+    s = t * _G_COEFFS[k]
+    for c in reversed(_G_COEFFS[:k]):
+        s += c
+        s *= t
+    s *= m
+    if top >= _SERIES_CUTOFF:
+        s = np.where(t < _SERIES_CUTOFF, s, w[2:] * lg + m)
+    # row i: z_i g(t_i) - log1p(-t_i)/2 - B(z_i) + B(z_i - m); the
+    # result takes row 1 minus row 0
+    rest_min = rest.min()  # the smallest of the four arguments
+    b = _stirling_remainder(w, rest_min)
+    s -= 0.5 * lg
+    s -= b[:2]
+    s += b[2:]
+    out = m * np.log1p(-gap / z2) + (s[1] - s[0])
+    if rest_min < _STIRLING_CUTOFF:
+        # the first difference from gammaln; the second too where z2 - m
+        # is also below the cutoff, else lnGamma(z2) - lnGamma(z2 - m) =
+        # m ln z2 - row 1, whose rounding is about m ln z2 ulps
+        # where gammaln's would be about z2 ln z2
+        low = rest < _STIRLING_CUTOFF
+        zl, gl, rl, hl = w[:, low]
+        second = np.where(
+            hl < _STIRLING_CUTOFF, gammaln(gl) - gammaln(hl),
+            np.broadcast_to(m, w.shape[1:])[low] * np.log(gl) - s[1][low])
+        out[low] = (gammaln(zl) - gammaln(rl)) - second
     return out if shape else float(out[0])

@@ -32,6 +32,7 @@ __all__ = [
     "r_pmf_exact",
     "r_tail_exact",
     "a_pmf",
+    "a_pmf_vector",
     "a_tail",
     "a_pmf_exact",
     "a_tail_exact",
@@ -264,19 +265,48 @@ def _settle(r, a, log_u, t, v):
     (down: the answer is t or below; q = L(t + 1) - L(t)) and s = 1 where
     not (up: q = L(t + 2) - L(t + 1)), so one log1p per lane yields L(t) or
     L(t + 2).  Returns (hit, answer, down, q): hit marks the lanes whose u
-    falls between L(t + 2) and L(t), and answer = t + s is theirs.
+    falls between L(t + 2) and L(t), and answer = t + s is theirs.  Runs
+    under _invert_rank's np.errstate: log1p(-1) = -inf where t + 1 = a - r.
     """
     down = v <= log_u
-    s = np.where(down, 0.0, 1.0)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: t + 1 = a - r
-        q = np.log1p(-(2.0 * r + 2.0 * t + 2.0 * s) / (a + r + t + s))
+    s = (~down).astype(float)
+    q = np.log1p(-(2.0 * r + 2.0 * t + 2.0 * s) / (a + r + t + s))
     hit = np.where(down, v - q > log_u, v + q <= log_u)
     return hit, t + s, down, q
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _invert_rank(r, a, log_u):
     """Smallest x in [1, a - r] with _log_r_tail(r, a, x + 1) <= log_u, per
-    lane, for float arrays r, a and log_u of one shape.
+    lane, for 1-D float arrays r, a and log_u of one length.
+
+    x = a - r needs no evaluation (its tail is 0), so lanes with a - r = 1
+    take x = 1 and the others go to _invert_open, gathered only when some
+    lane is forced.  The tail is good to a few ulps of its value for every
+    a up to _FLOAT_LIMIT, so the draw is the exact inverse whenever u is
+    further than that from a tail value.  Raises OverflowError if some a is
+    above _FLOAT_LIMIT or not a number.
+    """
+    if np.count_nonzero(a <= _FLOAT_LIMIT) < a.size:
+        raise OverflowError(
+            f"position above {_FLOAT_LIMIT:g}: past the floating-point "
+            "continuation of the record chain")
+    max_x = a - r
+    open_ = max_x > 1.0
+    count = np.count_nonzero(open_)
+    if not count:
+        return np.ones_like(max_x)
+    if count == max_x.size:
+        return _invert_open(r, a, log_u, max_x)
+    x = np.ones_like(max_x)
+    lanes = open_.nonzero()[0]
+    x[lanes] = _invert_open(r[lanes], a[lanes], log_u[lanes], max_x[lanes])
+    return x
+
+
+def _invert_open(r, a, log_u, max_x):
+    """_invert_rank on lanes with max_x = a - r >= 2; runs under its
+    np.errstate.
 
     Guided inversion (Devroye 1986, ch. 2-3).  Each lane starts at the
     closed-form guess t solving (x - 1)(2r + x) = -a ln u, the point where
@@ -294,51 +324,37 @@ def _invert_rank(r, a, log_u):
     20 x 1563 paths of 29 steps from (1, 2), the first point left 4416 of
     867 840 lane-steps open and the second settled all of them.  On the
     lanes still open, steps doubling away from the last point find a
-    bracket, and bisection closes it.  x = a - r needs no evaluation (its
-    tail is 0), so lanes with a - r = 1 are never evaluated.  Every later
-    evaluation runs on the lanes still open, gathered by index.  The tail
-    is good to a few ulps of its value for every a up to _FLOAT_LIMIT, so
-    the draw is the exact inverse whenever u is further than that from a
-    tail value.  Raises OverflowError if some a is above _FLOAT_LIMIT or
-    not a number.
+    bracket, and bisection closes it.  Every later evaluation runs on the
+    lanes still open, gathered by index.
     """
-    if not np.all(a <= _FLOAT_LIMIT):
-        raise OverflowError(
-            f"position above {_FLOAT_LIMIT:g}: past the floating-point "
-            "continuation of the record chain")
-    max_x = a - r
-    x = np.ones_like(max_x)
-    idx = np.flatnonzero(max_x > 1.0)
-    if not idx.size:
-        return x
-    r, a, log_u, max_x = r[idx], a[idx], log_u[idx], max_x[idx]
     b = 2.0 * r + 1.0
     ae = -a * log_u
-    with np.errstate(over="ignore"):  # b * b = inf (r > 6e153) gives g = 1
-        g = np.floor(1.0 + 2.0 * ae / (b + np.sqrt(b * b + 4.0 * ae)))
+    # b * b = inf (r > 6e153) gives g = 1
+    g = np.floor(1.0 + 2.0 * ae / (b + np.sqrt(b * b + 4.0 * ae)))
     t = np.minimum(np.maximum(g, 1.0), max_x - 1.0)  # the first point
     v = _log_r_tail(r, a, t + 1.0)
-    hit, answer, _, q = _settle(r, a, log_u, t, v)
-    x[idx[hit]] = answer[hit]
-    keep = ~hit
-    if not keep.any():
+    # x takes the answers of the hit lanes; the others are set below
+    hit, x, _, q = _settle(r, a, log_u, t, v)
+    open_ = ~hit
+    if not np.count_nonzero(open_):
         return x
-    idx, r, a, log_u, max_x, t, v, q = (
-        w[keep] for w in (idx, r, a, log_u, max_x, t, v, q))
+    idx = open_.nonzero()[0]
+    r, a, log_u, max_x, t, v, q = (w[idx] for w in (r, a, log_u, max_x, t,
+                                                     v, q))
     # the second point; a lane past _SECOND_POINT_LIMIT, or whose Newton
     # step is not finite (q rounded to 0), stays at t, where v is known
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        newton = np.floor((log_u - v) / q)
+    newton = np.floor((log_u - v) / q)
     moved = np.isfinite(newton) & (a <= _SECOND_POINT_LIMIT)
-    if moved.any():
+    if np.count_nonzero(moved):
         t = np.where(moved, np.minimum(np.maximum(t + newton, 1.0),
                                        max_x - 1.0), t)
         v[moved] = _log_r_tail(r[moved], a[moved], t[moved] + 1.0)
     hit, answer, down, _ = _settle(r, a, log_u, t, v)
     x[idx[hit]] = answer[hit]
-    keep = ~hit
-    if not keep.any():
+    open_ = ~hit
+    if not np.count_nonzero(open_):
         return x
+    keep = open_.nonzero()[0]
     idx, r, a, log_u, max_x, t, down = (
         w[keep] for w in (idx, r, a, log_u, max_x, t, down))
     # the lanes left have L(t) <= ln u (down) or L(t + 2) > ln u (up): the
@@ -363,10 +379,10 @@ def _invert_rank(r, a, log_u):
         # adjacent floats past 2^53 can round the midpoint up to hi
         t = np.where(bisect, np.where(mid >= hi, lo, mid), t)
         done = lo >= hi
-        if done.any():
+        if np.count_nonzero(done):
             x[idx[done]] = lo[done]
             keep = ~done
-            if not keep.any():
+            if not np.count_nonzero(keep):
                 return x
             idx, r, a, log_u = idx[keep], r[keep], a[keep], log_u[keep]
             t, lo, hi, step, down = (t[keep], lo[keep], hi[keep], step[keep],
@@ -461,6 +477,25 @@ def a_pmf(state: RAState, r_next, y, form: str = "closed") -> float:
     raise ValueError(f"unknown form {form!r}")
 
 
+def a_pmf_vector(r, a, r_next, max_y: int) -> np.ndarray:
+    """pmf over y = 1..max_y of the next position a + y from state (r, a)
+    after the rank step to r_next: a_pmf(..., form="closed") to the bit.
+
+    c / ((c + y - 1) (c + y)) with c = a + r_next, rounded as the scalar
+    form rounds it: c + y is the exact sum rounded once to a double, then
+    1 is subtracted from it.  For an integer c that is a double, or a float
+    c, float(c) + y is that sum; past 2^53 an integer c that is not a
+    double takes it from the exact integers c + y.
+    """
+    _check_rank_step(RAState(r, a), r_next)
+    c = a + r_next
+    if isinstance(c, _WHOLE) and float(c) != c:
+        cy = (np.arange(1, max_y + 1, dtype=object) + int(c)).astype(float)
+    else:
+        cy = float(c) + np.arange(1, max_y + 1, dtype=float)
+    return float(c) / ((cy - 1.0) * cy)
+
+
 def a_tail(state: RAState, r_next, y) -> float:
     """P(next position >= a + y) = c/(c+y-1) for y >= 1."""
     _check_rank_step(state, r_next)
@@ -509,6 +544,7 @@ def sample_a_next(state: RAState, r_next, rng: np.random.Generator):
     return a + math.floor(z) + 1.0
 
 
+@np.errstate(over="ignore")
 def _position_offsets(c, rng: np.random.Generator) -> np.ndarray:
     """Offsets y = floor(c(1-u)/u) + 1 of the next positions, one per entry
     of the float array c = a + r_next: the array form of sample_a_next.
@@ -521,13 +557,15 @@ def _position_offsets(c, rng: np.random.Generator) -> np.ndarray:
     overflows, lane by lane, as in sample_a_next.
     """
     u = nonzero_uniform(rng, c.size)
-    with np.errstate(over="ignore"):
-        z = c * (1.0 - u) / u
-        bad = ~np.isfinite(z)
-        while bad.any():
-            u = nonzero_uniform(rng, int(bad.sum()))
-            z[bad] = c[bad] * (1.0 - u) / u
-            bad = ~np.isfinite(z)
+    z = c * (1.0 - u) / u
+    finite = np.isfinite(z)
+    count = z.size - np.count_nonzero(finite)
+    while count:
+        bad = ~finite
+        u = nonzero_uniform(rng, count)
+        z[bad] = c[bad] * (1.0 - u) / u
+        finite = np.isfinite(z)
+        count = z.size - np.count_nonzero(finite)
     return np.floor(z) + 1.0
 
 
@@ -563,20 +601,21 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     R = np.empty((steps + 1, num_paths))
     A = np.empty((steps + 1, num_paths))
     R[0], A[0] = r, a
-    for i in range(1, steps + 1):
-        r_next = r + _invert_rank(r, a, np.log(nonzero_uniform(rng, num_paths)))
-        if np.any(r_next == r):
-            raise OverflowError(
-                f"a rank stalled at step {i}: r + x rounds back to r in the "
-                "floating-point continuation of the record chain")
-        r = r_next
-        with np.errstate(over="ignore"):  # a + y = inf fails the check below
+    with np.errstate(over="ignore"):  # a + y = inf fails the check below
+        for i in range(1, steps + 1):
+            r_next = r + _invert_rank(r, a,
+                                      np.log(nonzero_uniform(rng, num_paths)))
+            if np.count_nonzero(r_next == r):
+                raise OverflowError(
+                    f"a rank stalled at step {i}: r + x rounds back to r in "
+                    "the floating-point continuation of the record chain")
+            r = r_next
             a = a + _position_offsets(a + r, rng)
-        if not np.all(a <= _FLOAT_LIMIT):
-            raise OverflowError(
-                f"a position passed {_FLOAT_LIMIT:g} at step {i}: past the "
-                "floating-point continuation of the record chain")
-        R[i], A[i] = r, a
+            if np.count_nonzero(a <= _FLOAT_LIMIT) < num_paths:
+                raise OverflowError(
+                    f"a position passed {_FLOAT_LIMIT:g} at step {i}: past "
+                    "the floating-point continuation of the record chain")
+            R[i], A[i] = r, a
     return R, A
 
 

@@ -38,9 +38,11 @@ def nonzero_uniform(rng: np.random.Generator, size: int | tuple | None = None):
         return u
     u = rng.random(size)
     bad = u == 0.0
-    while bad.any():
-        u[bad] = rng.random(int(bad.sum()))
+    count = np.count_nonzero(bad)
+    while count:
+        u[bad] = rng.random(count)
         bad = u == 0.0
+        count = np.count_nonzero(bad)
     return u
 
 

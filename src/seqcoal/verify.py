@@ -232,7 +232,8 @@ def c04_tail_identities(seed: int) -> CriterionResult:
                     - ra_chain.a_tail(prior, r_next, y + 1))
             worst_diff = max(worst_diff,
                              abs(diff - ra_chain.a_pmf(prior, r_next, y)))
-        acc = math.fsum(ra_chain.a_pmf(prior, r_next, y) for y in range(1, 1001))
+        acc = math.fsum(
+            ra_chain.a_pmf_vector(prior.r, prior.a, r_next, 1000).tolist())
         worst_sum = max(worst_sum,
                         abs(acc + ra_chain.a_tail(prior, r_next, 1001) - 1.0))
 
@@ -270,9 +271,9 @@ def c05_sampler_frequencies(seed: int) -> CriterionResult:
             return np.bincount(np.minimum(y, cutoff + 1).astype(np.int64) - 1,
                                minlength=cutoff + 1)
         counts = sum(_map_chunks(draw, total, seed, 5, 10 + idx))
-        probs = np.array([ra_chain.a_pmf(prior, r_next, y)
-                          for y in range(1, cutoff + 1)]
-                         + [ra_chain.a_tail(prior, r_next, cutoff + 1)])
+        probs = np.append(
+            ra_chain.a_pmf_vector(prior.r, prior.a, r_next, cutoff),
+            ra_chain.a_tail(prior, r_next, cutoff + 1))
         rep = chi2_gof(counts, probs)
         details[f"p_position_c{c_val}"] = _round6(rep.p_value)
         passed = passed and rep.passed

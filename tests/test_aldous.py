@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqcoal import aldous
 from seqcoal.aldous import (StickField, batch_first_record,
                             identify_lineage_rank, identify_ra,
                             match_rank_to_individual, partition_at,
@@ -431,6 +432,31 @@ def test_batch_first_record_scripted():
     assert out.tolist() == [3, 0]
     with pytest.raises(ValueError):
         batch_first_record(2, stream(13, 0), cap=1)
+
+
+def _first_record_in_one_draw(replicates, rng, cap):
+    """batch_first_record from one (replicates, cap) uniform draw."""
+    u = rng.random(replicates)
+    sides = rng.random((replicates, cap)) < u[:, None]
+    flipped = sides != sides[:, :1]
+    return np.where(flipped.any(axis=1), flipped.argmax(axis=1) + 1, 0)
+
+
+@pytest.mark.parametrize("block", [128, None])
+def test_batch_first_record_reads_blocks_as_one_draw(monkeypatch, block):
+    # the individual positions come in blocks of rows: the same values in
+    # the same order as one draw, and the same generator state after it,
+    # also where one row is wider than a block
+    if block is not None:
+        monkeypatch.setattr(aldous, "_FIRST_RECORD_BLOCK", block)
+    for replicates, cap in ((1, 2), (7, 51), (1000, 51), (30, 300),
+                            (15625, 51)):
+        rng, ref = stream(13, 2, cap), stream(13, 2, cap)
+        got = batch_first_record(replicates, rng, cap)
+        assert got.dtype == np.int64
+        assert got.tolist() == _first_record_in_one_draw(replicates, ref,
+                                                         cap).tolist()
+        assert rng.random() == ref.random()
 
 
 def test_batch_first_record_law():

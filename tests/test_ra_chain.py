@@ -1,5 +1,6 @@
 """Record-chain laws: closed forms vs exact rationals, urn oracles, samplers."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,11 +9,12 @@ import pytest
 
 from seqcoal import ra_chain, verify
 from seqcoal.numerics import log_gamma_diff
-from seqcoal.ra_chain import (RAState, a_pmf, a_pmf_exact, a_tail,
-                              a_tail_exact, r_pmf, r_pmf_exact, r_pmf_vector,
-                              r_tail, r_tail_exact, r_tail_vector, sample_a1,
-                              sample_a_next, sample_paths_batch, sample_r_next,
-                              sample_r_next_batch, urn_oracle_a, urn_oracle_r)
+from seqcoal.ra_chain import (RAState, a_pmf, a_pmf_exact, a_pmf_vector,
+                              a_tail, a_tail_exact, r_pmf, r_pmf_exact,
+                              r_pmf_vector, r_tail, r_tail_exact, r_tail_vector,
+                              sample_a1, sample_a_next, sample_paths_batch,
+                              sample_r_next, sample_r_next_batch, urn_oracle_a,
+                              urn_oracle_r)
 from seqcoal.stats import chi2_gof, ks_one_sample
 from seqcoal.streams import exp_inverse, nonzero_uniform, stream
 
@@ -26,7 +28,9 @@ class ScriptedRNG:
     def random(self, size=None):
         if size is None:
             return self.values.pop(0)
-        return np.array([self.values.pop(0) for _ in range(int(size))])
+        shape = tuple(np.atleast_1d(size))  # an int or a tuple, as numpy
+        values = [self.values.pop(0) for _ in range(math.prod(shape))]
+        return np.array(values).reshape(shape)
 
 
 def test_state_validation():
@@ -61,6 +65,12 @@ def test_nonzero_uniform_redraws_zeros():
     got = nonzero_uniform(ScriptedRNG([0.5, 0.0, 0.75, 0.0, 0.0, 0.125]), 3)
     assert got.tolist() == [0.5, 0.125, 0.75]
     assert exp_inverse(ScriptedRNG([0.0, 0.5])) == -math.log(0.5)
+    # a 2-D block, the shape the Kingman builders draw: its zeros are
+    # redrawn in row-major order, all of them in one call, until none is left
+    rng = ScriptedRNG([0.5, 0.0, 0.75, 0.25, 0.0, 0.125, 0.375, 0.0, 0.625])
+    got = nonzero_uniform(rng, (3, 2))
+    assert got.tolist() == [[0.5, 0.375], [0.75, 0.25], [0.625, 0.125]]
+    assert rng.values == []
 
 
 def test_sample_a1_array():
@@ -335,6 +345,43 @@ def test_guided_inversion_settles_by_the_second_point(monkeypatch):
         assert len(calls) == 2, (lo, calls)
 
 
+def test_guided_inversion_forced_lanes_leave_the_open_ones_alone(monkeypatch):
+    # lanes with a - r = 1 take x = 1 and never reach the kernel, so the
+    # open lanes among them draw what they draw alone, to the bit, from
+    # log_gamma_diff calls on the same lanes in the same order; lanes past
+    # 2^53 gallop from the first point, so every stage of the search runs
+    rng = stream(27, 5)
+    n = 3000
+    a = np.floor(10.0 ** rng.uniform(1.0, 40.0, n))
+    r = np.minimum(np.floor(np.sqrt(a * rng.exponential(1.0, n))) + 1.0,
+                   a - 2.0)
+    log_u = np.log(rng.random(n))
+    # forced lanes below 2^53, where a - 1 is exact
+    forced = (rng.random(n) < 0.3) & (a < 2.0**53)
+    mixed_r = np.where(forced, a - 1.0, r)
+
+    def run(r, a, log_u):
+        calls = []
+
+        def counted(z, gap, m):
+            calls.append(np.concatenate((z, gap, m)))
+            return log_gamma_diff(z, gap, m)
+
+        monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
+        x = ra_chain._invert_rank(r, a, log_u)
+        monkeypatch.undo()
+        return x, calls
+
+    mixed, mixed_calls = run(mixed_r, a, log_u)
+    open_ = ~forced
+    alone, alone_calls = run(r[open_], a[open_], log_u[open_])
+    assert np.all(mixed[forced] == 1.0)
+    assert mixed[open_].tobytes() == alone.tobytes()
+    assert len(mixed_calls) == len(alone_calls) >= 3
+    for got, want in zip(mixed_calls, alone_calls):
+        assert got.tobytes() == want.tobytes()
+
+
 def _boundary_cases(mp):
     """(r, a, x, u) with u just above the exact tail(x+1), so the draw is
     r + x, and (r, a, x + 1, u) with u just below it, so the draw is
@@ -474,6 +521,26 @@ def test_a_pmf_frozen_values_and_forms():
         a_pmf(prior, 2, 1, form="magic")
 
 
+@pytest.mark.parametrize("c", [4, 20, 10**6, 2**53 + 1, 2**60])
+def test_a_pmf_vector_matches_the_closed_form_bit_for_bit(c):
+    # past 2^53 the scalar form rounds the exact integer c + y once; at
+    # c = 2^53 + 1, float(c) + y would round twice and differ
+    r_next = c // 2
+    prior = RAState(1, c - r_next)
+    want = [a_pmf(prior, r_next, y, form="closed") for y in range(1, 2001)]
+    assert a_pmf_vector(1, c - r_next, r_next, 2000).tolist() == want
+    # a float position rounds c + y as the float sum
+    fprior = RAState(1.0, float(c))
+    want = [a_pmf(fprior, 2, y, form="closed") for y in range(1, 2001)]
+    assert a_pmf_vector(1.0, float(c), 2, 2000).tolist() == want
+
+
+def test_a_pmf_vector_validates_the_step():
+    for r, a, r_next in ((1, 5, 1), (1, 5, 6), (0, 5, 2), (5, 5, 5)):
+        with pytest.raises(ValueError):
+            a_pmf_vector(r, a, r_next, 10)
+
+
 def test_a_pmf_exact_matches_urn_enumeration():
     prior = RAState(1, 2)
     probs, tail = urn_oracle_a(prior, 2, 5)
@@ -545,6 +612,23 @@ def test_sample_paths_batch_matches_scalar_path():
             assert (r, a) == (st.r, st.a), (seed, checked)
             checked, top = checked + 1, max(top, st.a)
     assert checked > 1500 and top > 1e15
+
+
+def test_sample_paths_batch_draws_pinned():
+    # sha256 of R and A at the lockstep widths of verify's chunks (1563
+    # paths of c10's 29 steps) and of the CLI (100 paths, 30 steps): any
+    # change to a rank or position draw, or to the order of the draws,
+    # moves it.  The same hash with numpy's AVX-512 loops turned off
+    # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    h = hashlib.sha256()
+    for paths, steps in ((1563, 29), (100, 30)):
+        for seed in range(3):
+            R, A = sample_paths_batch(paths, steps, stream(seed, paths),
+                                      start=(1, 2))
+            h.update(R.tobytes())
+            h.update(A.tobytes())
+    assert h.hexdigest() == (
+        "5e3e36add428896ab8afea8bc1b1688c75dbe4ea1fbd9e2269a1a40d502cfee0")
 
 
 def test_sample_paths_batch_shapes_and_invariants():
