@@ -1,5 +1,6 @@
 """Stick construction: partitions, lineage ranks, and the planted record chain."""
 
+import hashlib
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -388,6 +389,50 @@ def test_identify_ra_against_sorted_board():
         got = identify_ra(field, max_pairs, max_individuals=cap,
                           max_sticks=cap)
         assert [(st.r, st.a) for st in got] == want
+
+
+@pytest.mark.parametrize("cap", [5, 33, 65])
+def test_identify_ra_against_sorted_board_off_block_caps(cap):
+    # caps that are not multiples of the 32 positions of each kind in a
+    # block; the field is read lazily, and the positions do not depend on
+    # how many are drawn at a time, so the board is filled in afterwards
+    for i in range(200):
+        field = StickField(stream(19, cap, i))
+        max_pairs = 1 + i % 4
+        got = identify_ra(field, max_pairs, max_individuals=cap,
+                          max_sticks=cap)
+        field.ensure_sticks(cap)
+        field.ensure_individuals(cap)
+        want = _planted_pairs(field._sticks[:cap], field._individuals[:cap],
+                              max_pairs)
+        assert [(st.r, st.a) for st in got] == want
+
+
+def test_identify_ra_against_sorted_board_with_long_prefixes():
+    # the field already holds more sticks and individuals than the chain
+    # plants, so identify_ra must read only the prefix it has planted
+    for i in range(100):
+        field = sample_stick_field(200, 400, stream(19, 7, i))
+        want = _planted_pairs(field._sticks, field._individuals, 3)
+        got = identify_ra(field, 3, max_individuals=400, max_sticks=200)
+        assert [(st.r, st.a) for st in got] == want
+        assert len(field._sticks) == 200 and len(field._individuals) == 400
+
+
+def test_identify_ra_shared_stream_chunk_pinned():
+    # c06's field route: fields share one generator, each read to its end
+    # before the next is made, so the blocks one field draws decide where
+    # the next one's positions start.  Any change to the pairs or to the
+    # number of blocks drawn moves the digest or the next uniform.
+    rng = stream(6, 1, 0)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        pairs = identify_ra(StickField(rng), 2, max_individuals=64,
+                            max_sticks=64)
+        h.update(repr([(st.r, st.a) for st in pairs]).encode())
+    assert h.hexdigest() == (
+        "a11ecefe7a367b777a7d8db113c0187268fd660ced3cf406a82d4b4f540098eb")
+    assert rng.random() == 0.35759182933944456
 
 
 def test_identify_ra_rejects_caps_below_one():
