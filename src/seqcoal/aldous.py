@@ -227,6 +227,15 @@ def identify_lineage_rank(field: StickField, n: int, *,
             return k
 
 
+def _state(r: int, a: int) -> RAState:
+    """An RAState read off a field, valid by construction: every planted
+    stick has individuals on both sides when a record is certified, so
+    a >= r + 1.  Skips the check that construction runs."""
+    st = object.__new__(RAState)
+    st.r, st.a = r, a
+    return st
+
+
 def identify_ra(field: StickField, max_pairs: int, *,
                 max_individuals: int | None = None,
                 max_sticks: int | None = None) -> list:
@@ -235,8 +244,13 @@ def identify_ra(field: StickField, max_pairs: int, *,
     A newly planted stick starts a record hunt when it is not already
     walled in by individuals; the hunt ends once individuals close in on
     both sides, and the closing individual's index is the record position.
-    Returns up to max_pairs states; hitting either cap returns the pairs
-    certified so far (a censored prefix).
+    A hunt scans the individuals in planting order against the anchor and
+    its two neighbouring sticks.  The planted individuals are sorted only
+    between hunts, where the next stick's crowding test reads the two of
+    them next to it.  Sticks and individuals are drawn from the field only
+    when the ones it holds run out.  Returns up to max_pairs states;
+    hitting either cap returns the pairs certified so far (a censored
+    prefix).
     """
     if max_pairs < 1:
         raise ValueError("need max_pairs >= 1")
@@ -244,36 +258,55 @@ def identify_ra(field: StickField, max_pairs: int, *,
         if cap is not None and cap < 1:
             raise ValueError("need max_individuals and max_sticks >= 1")
     indiv_cap = math.inf if max_individuals is None else max_individuals
+    stick_cap = math.inf if max_sticks is None else max_sticks
     sticks: list = []  # planted stick locations, sorted
-    individuals: list = []  # planted individual locations, sorted
-    drawn = field._individuals
+    individuals: list = []  # individuals planted before this hunt, sorted
+    planted = hunted = 0  # sticks and individuals planted so far
     pairs: list = []
     while len(pairs) < max_pairs:
         while True:
-            if max_sticks is not None and len(sticks) >= max_sticks:
+            if planted >= stick_cap:
                 return pairs
-            anchor = field.stick_location(len(sticks) + 1)
-            lo, hi = _interval_bounds(sticks, anchor)
-            insort(sticks, anchor)
-            left = _crowded(individuals, lo, anchor)
-            right = _crowded(individuals, anchor, hi)
+            if planted == len(field._sticks):
+                field.ensure_sticks(planted + 1)
+            anchor = field._sticks[planted]
+            i = bisect_right(sticks, anchor)
+            lo = sticks[i - 1] if i else 0.0
+            hi = sticks[i] if i < planted else 1.0
+            sticks.insert(i, anchor)
+            planted += 1
+            j = bisect_left(individuals, anchor)
+            left = j > 0 and individuals[j - 1] > lo
+            right = j < hunted and individuals[j] < hi
             if not (left and right):
                 break
         # no stick is planted during the hunt, so lo and hi stay the
         # anchor's neighbours
+        drawn = field._individuals
+        start = hunted
         while not (left and right):
-            planted = len(individuals)
-            if planted >= indiv_cap:
+            if hunted >= indiv_cap:
                 return pairs
-            if planted == len(drawn):
+            if hunted == len(drawn):
                 # positions do not depend on how many are drawn at a time
-                field.ensure_individuals(min(planted + _BLOCK // 2, indiv_cap))
+                field.ensure_individuals(min(hunted + _BLOCK // 2, indiv_cap))
                 drawn = field._individuals
-            loc = drawn[planted]
-            insort(individuals, loc)
-            left = left or lo < loc < anchor
-            right = right or anchor < loc < hi
-        pairs.append(RAState(len(sticks), len(individuals)))
+            stop = min(len(drawn), indiv_cap)
+            for loc in drawn[hunted:stop]:
+                if lo < loc < hi:
+                    if loc < anchor:
+                        left = True
+                    else:
+                        right = True
+                    if left and right:
+                        # an earlier copy of loc would have closed the
+                        # same side, so this is its first index
+                        stop = drawn.index(loc, hunted) + 1
+                        break
+            hunted = stop
+        individuals += drawn[start:hunted]
+        individuals.sort()
+        pairs.append(_state(planted, hunted))
     return pairs
 
 
@@ -327,7 +360,7 @@ def batch_first_record(replicates: int, rng: np.random.Generator,
     for lo in range(0, replicates, rows):
         hi = min(lo + rows, replicates)
         sides = rng.random((hi - lo, cap)) < u[lo:hi, None]
-        flipped = sides != sides[:, :1]
-        first[lo:hi] = np.where(flipped.any(axis=1),
-                                flipped.argmax(axis=1) + 1, 0)
+        # column 0 never flips, so argmax is 0 exactly where no column does
+        idx = (sides != sides[:, :1]).argmax(axis=1)
+        first[lo:hi] = np.where(idx > 0, idx + 1, 0)
     return first

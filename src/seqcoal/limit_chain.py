@@ -133,7 +133,10 @@ def wn_local_limit_error(n: int, s_values) -> tuple:
     s, k = s[keep], k[keep]
     law = wn_pmf(n)
     pmf = law.pmf_float()
-    approx = 2.0 * s * np.exp(-s * s) / math.sqrt(n)
+    # math.exp per point: numpy's exp loops round differently on CPUs
+    # with and without AVX-512, so the output would depend on the CPU
+    root = math.sqrt(n)
+    approx = np.array([2.0 * x * math.exp(-x * x) / root for x in s.tolist()])
     rel = pmf[k] / approx - 1.0
     return s, rel
 

@@ -99,8 +99,10 @@ def log_gamma_diff(z, gap, m):
         # where gammaln's would be about z2 ln z2
         low = rest < _STIRLING_CUTOFF
         zl, gl, rl, hl = w[:, low]
+        if m.shape != low.shape:
+            m = np.broadcast_to(m, low.shape)
         second = np.where(
             hl < _STIRLING_CUTOFF, gammaln(gl) - gammaln(hl),
-            np.broadcast_to(m, w.shape[1:])[low] * np.log(gl) - s[1][low])
+            m[low] * np.log(gl) - s[1][low])
         out[low] = (gammaln(zl) - gammaln(rl)) - second
     return out if shape else float(out[0])

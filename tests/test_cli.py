@@ -60,9 +60,9 @@ def test_pebls_csv(capsys):
     (["limit", "--format", "json"],
      "c0b4ba23b6dd3cdac56e5c46b580164dd74c3bb20b0d8217f930ba2a8578034b"),
     (["wn"],
-     "ad78513a6db6edd46ab1b184ce069d1ef854816de8709253ab6cb8b2f4717242"),
+     "63a9c8cab5c5a5130d77928f37aab787691bffbc887001a47e2a14d51d7b0e99"),
     (["wn", "--format", "json"],
-     "5149e9f186486c7fecf8f259e1578895a87229acef0977a4562c00db176c5985"),
+     "5fd7a02acf36b72a9aa311e2a872e38085fe5993bf5344034addf8d051f67188"),
     (["pmf", "--r", "5", "--a", "40"],
      "ed486ff27eb6de721cb8157d4d21933e7687a8e2834308f546bec5d766a9e8cb"),
     (["pmf", "--r", "5", "--a", "40", "--format", "json"],

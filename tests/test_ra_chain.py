@@ -271,17 +271,36 @@ def test_sample_r_next_boundary_resolution():
 
 def _reference_inversion(r, a, log_u):
     """Plain lockstep bisection over the whole support [1, a - r]: the
-    smallest x with log tail(x+1) <= log u, every lane every iteration."""
+    smallest x with log tail(x+1) <= log u, every lane every iteration.
+    Past 2^53 the support is the floats in that range and x+1 is the next
+    float above x, so every step still shrinks the interval."""
     lo = np.ones_like(r)
     hi = a - r
     while True:
         open_ = lo < hi
         if not open_.any():
             return lo
-        mid = np.floor((lo + hi) / 2.0)
-        cond = ra_chain._log_r_tail(r, a, mid + 1.0) <= log_u
+        # mid lies in [lo, hi) also where lo + hi rounds up to hi
+        mid = np.minimum(np.floor((lo + hi) / 2.0), np.nextafter(hi, 0.0))
+        succ = np.maximum(mid + 1.0, np.nextafter(mid, np.inf))
+        cond = ra_chain._log_r_tail(r, a, succ) <= log_u
         hi = np.where(open_ & cond, mid, hi)
-        lo = np.where(open_ & ~cond, mid + 1.0, lo)
+        lo = np.where(open_ & ~cond, succ, lo)
+
+
+def test_reference_inversion_returns_past_two_to_the_53():
+    # at a = 1e40 the floats near the rank are spaced far apart, and a
+    # step of mid + 1.0 would round back to mid; the kernel is not
+    # compared with it there (it is checked against mpmath up to 1e28)
+    a = np.array([1e40, 1e40, 1e40])
+    r = np.array([1.0, 1e20, 1e30])
+    log_u = np.log(np.array([0.3, 0.5, 0.9]))
+    x = _reference_inversion(r, a, log_u)
+    assert np.all((x >= 1.0) & (x <= a - r))
+    # smallest float support point whose successor's tail is <= log u
+    succ = np.maximum(x + 1.0, np.nextafter(x, np.inf))
+    assert np.all(ra_chain._log_r_tail(r, a, succ) <= log_u)
+    assert np.all((x == 1.0) | (ra_chain._log_r_tail(r, a, x) > log_u))
 
 
 def test_guided_inversion_matches_reference_bisection():
