@@ -299,8 +299,9 @@ def identify_ra(field: StickField, max_pairs: int, *,
                     else:
                         right = True
                     if left and right:
-                        # an earlier copy of loc would have closed the
-                        # same side, so this is its first index
+                        # loc set the last open side, so no equal value
+                        # came before it in this scan (that one would
+                        # have set the side already): index finds loc
                         stop = drawn.index(loc, hunted) + 1
                         break
             hunted = stop

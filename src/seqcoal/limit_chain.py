@@ -135,8 +135,8 @@ def wn_local_limit_error(n: int, s_values) -> tuple:
     pmf = law.pmf_float()
     # math.exp per point: numpy's exp loops round differently on CPUs
     # with and without AVX-512, so the output would depend on the CPU
-    root = math.sqrt(n)
-    approx = np.array([2.0 * x * math.exp(-x * x) / root for x in s.tolist()])
+    e = np.fromiter(map(math.exp, (-s * s).tolist()), float, s.size)
+    approx = 2.0 * s * e / math.sqrt(n)
     rel = pmf[k] / approx - 1.0
     return s, rel
 
