@@ -6,16 +6,12 @@ and the exact record Markov chain with its rescaled limit.  Closed-form
 laws ship with independent oracles and a deterministic verification suite.
 """
 
-from .aldous import (StickField, batch_first_record, identify_ra,
-                     identify_lineage_rank, match_rank_to_individual,
-                     partition_at, sample_stick_field)
-from .kingman import (Partition, PeblsSequence, Trajectory, TrajectoryEvent,
-                      build_pebls, cumulative_hazard, extend_recursive,
-                      invert_cumulative_hazard, reconstruct_from_pebls,
+from .aldous import StickField, batch_first_record, identify_ra, partition_at
+from .kingman import (PeblsSequence, Trajectory, TrajectoryEvent, build_pebls,
+                      extend_recursive, reconstruct_from_pebls,
                       simulate_kingman, time_to_mrca)
-from .limit_chain import (WnLaw, conditional_wn, rescaled_observables,
-                          sample_limit_batch, wn_local_limit_error, wn_log_pmf,
-                          wn_pmf)
+from .limit_chain import (WnLaw, rescaled_observables, sample_limit_batch,
+                          wn_local_limit_error, wn_log_pmf)
 from .ra_chain import (RAState, a_pmf, a_pmf_exact, a_tail, a_tail_exact,
                        r_pmf, r_pmf_exact, r_pmf_vector, r_tail, r_tail_exact,
                        r_tail_vector, sample_a1, sample_a_next,

@@ -11,22 +11,18 @@ positions without ever looking at heights.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 
 import numpy as np
 
-from .kingman import Partition
 from .ra_chain import RAState
 from .streams import exp_inverse
 
 __all__ = [
     "StickField",
-    "sample_stick_field",
     "partition_at",
-    "identify_lineage_rank",
     "identify_ra",
-    "match_rank_to_individual",
     "batch_first_record",
 ]
 
@@ -113,18 +109,6 @@ class StickField:
     def ensure_individuals(self, n: int):
         self._take(self._individuals, self._kept_individuals, n)
 
-    def stick_location(self, j: int) -> float:
-        if j < 1:
-            raise ValueError("stick indices start at 1")
-        self.ensure_sticks(j)
-        return self._sticks[j - 1]
-
-    def individual_location(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("individual indices start at 1")
-        self.ensure_individuals(i)
-        return self._individuals[i - 1]
-
     def ensure_heights(self):
         """Materialize stick heights once.
 
@@ -157,30 +141,16 @@ class StickField:
         return int(np.searchsorted(-self._heights, -t, side="right"))
 
 
-def sample_stick_field(num_sticks: int, num_individuals: int,
-                       rng: np.random.Generator, *,
-                       height_tol: float = 1e-9) -> StickField:
-    """Fresh field with the given numbers of positions already drawn.
-
-    The field stays lazily extendable past both counts.
-    """
-    if num_sticks < 1 or num_individuals < 1:
-        raise ValueError("need at least one stick and one individual")
-    field = StickField(rng, height_tol=height_tol)
-    field.ensure_sticks(num_sticks)
-    field.ensure_individuals(num_individuals)
-    return field
-
-
-def partition_at(field: StickField, t: float, n: int) -> Partition:
-    """Block structure of the first n individuals at coalescent time t."""
+def partition_at(field: StickField, t: float, n: int) -> list:
+    """Block structure of the first n individuals at coalescent time t: a
+    list of frozensets sorted by their minima."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("need a finite time >= 0")
     if n < 1:
         raise ValueError("need n >= 1")
     if t == 0.0:
         # Every stick separates at time zero.
-        return Partition(n, [frozenset({i}) for i in range(1, n + 1)])
+        return [frozenset({i}) for i in range(1, n + 1)]
     m = field.count_at_least(t)
     field.ensure_sticks(m)
     field.ensure_individuals(n)
@@ -189,42 +159,7 @@ def partition_at(field: StickField, t: float, n: int) -> Partition:
     for i in range(1, n + 1):
         loc = field._individuals[i - 1]
         regions[bisect_right(separators, loc)].add(i)
-    return Partition(n, [frozenset(b) for b in regions.values()])
-
-
-def _interval_bounds(separators: list, loc: float) -> tuple:
-    """Ends of the interval of the sorted separators that holds loc; the
-    ends of the unit interval stand in where loc has no separator."""
-    i = bisect_right(separators, loc)
-    lo = separators[i - 1] if i > 0 else 0.0
-    hi = separators[i] if i < len(separators) else 1.0
-    return lo, hi
-
-
-def _crowded(sorted_locs: list, lo: float, hi: float) -> bool:
-    """Some location lies strictly between lo and hi."""
-    return bisect_left(sorted_locs, hi) > bisect_right(sorted_locs, lo)
-
-
-def identify_lineage_rank(field: StickField, n: int, *,
-                          max_rank: int | None = None) -> int:
-    """Rank of individual n's lineage when it arrives: the smallest k such
-    that after planting sticks 1..k, individual n sits alone among the first
-    n individuals in its stick interval."""
-    if n < 2:
-        raise ValueError("need n >= 2; the first lineage has no finite rank")
-    field.ensure_individuals(n)
-    target = field._individuals[n - 1]
-    others = sorted(field._individuals[i] for i in range(n - 1))
-    sticks: list = []
-    k = 0
-    while True:
-        k += 1
-        if max_rank is not None and k > max_rank:
-            raise RuntimeError(f"not resolved within {max_rank} sticks")
-        insort(sticks, field.stick_location(k))
-        if not _crowded(others, *_interval_bounds(sticks, target)):
-            return k
+    return sorted((frozenset(b) for b in regions.values()), key=min)
 
 
 def _state(r: int, a: int) -> RAState:
@@ -309,36 +244,6 @@ def identify_ra(field: StickField, max_pairs: int, *,
         individuals.sort()
         pairs.append(_state(planted, hunted))
     return pairs
-
-
-def match_rank_to_individual(field: StickField, rank: int, *,
-                             max_individuals: int | None = None) -> int:
-    """The individual whose lineage carries the given rank.
-
-    With sticks 1..rank planted, individuals are planted one at a time
-    until the first one that lands alone in its stick interval while the
-    interval it would occupy among sticks 1..rank-1 already holds an
-    earlier individual.  That arrival is separated by stick `rank` and by
-    no shorter prefix of sticks, so its length is the rank-th tallest.
-    Inverse of identify_lineage_rank in every realization.
-    """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    field.ensure_sticks(rank)
-    sticks_full = sorted(field._sticks[:rank])
-    sticks_prev = sorted(field._sticks[:rank - 1])
-    earlier: list = []
-    m = 0
-    while True:
-        m += 1
-        if max_individuals is not None and m > max_individuals:
-            raise RuntimeError(f"no match within {max_individuals} individuals")
-        loc = field.individual_location(m)
-        alone = not _crowded(earlier, *_interval_bounds(sticks_full, loc))
-        was_joined = _crowded(earlier, *_interval_bounds(sticks_prev, loc))
-        if alone and was_joined:
-            return m
-        insort(earlier, loc)
 
 
 def batch_first_record(replicates: int, rng: np.random.Generator,

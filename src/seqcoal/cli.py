@@ -158,7 +158,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_wn(args) -> int:
-    pmf = limit_chain.wn_pmf(args.n).pmf_float().tolist()
+    pmf = limit_chain.WnLaw.build(args.n).pmf_float().tolist()
     s_grid = np.linspace(0.2, 2.0, 181)
     s_kept, rel = (v.tolist() for v in limit_chain.wn_local_limit_error(args.n, s_grid))
     if args.format == "json":

@@ -11,7 +11,7 @@ length sequence from which the whole trajectory can be rebuilt.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .streams import nonzero_uniform
 
 __all__ = [
-    "Partition",
     "TrajectoryEvent",
     "Trajectory",
     "PeblsSequence",
@@ -28,38 +27,7 @@ __all__ = [
     "build_pebls",
     "reconstruct_from_pebls",
     "time_to_mrca",
-    "cumulative_hazard",
-    "invert_cumulative_hazard",
 ]
-
-
-@dataclass
-class Partition:
-    """Partition of {1..n} into disjoint non-empty blocks, sorted by minimum."""
-
-    n: int
-    blocks: list[frozenset]
-
-    def __post_init__(self):
-        seen = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty block")
-            if seen & b:
-                raise ValueError("blocks overlap")
-            seen |= b
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not cover 1..{self.n}")
-        self.blocks = sorted((frozenset(b) for b in self.blocks), key=min)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def block_of(self, i: int) -> frozenset:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise ValueError(f"{i} not in ground set")
 
 
 @dataclass(frozen=True)
@@ -129,22 +97,6 @@ class Trajectory:
     def is_complete(self) -> bool:
         return len(self.times) == self.n - 1
 
-    def event_times(self) -> list:
-        return list(self.times)
-
-    def block_count_at(self, t: float) -> int:
-        """Number of blocks at time t (right-continuous in t)."""
-        return self.n - bisect_right(self.times, t)
-
-    def partition_at(self, t: float) -> Partition:
-        """Partition at time t; a merge at exactly t has already happened."""
-        members = {i: [i] for i in range(1, self.n + 1)}
-        for time, a, b in zip(self.times, self.block_a, self.block_b):
-            if time > t:
-                break
-            members[a] += members.pop(b)
-        return Partition(self.n, [frozenset(g) for g in members.values()])
-
 
 def _trusted(cls, **fields):
     """A Trajectory or PeblsSequence from this module's builders, valid by
@@ -173,13 +125,6 @@ class PeblsSequence:
                 raise ValueError("lengths must be finite and positive")
         if len(set(self.lengths)) != len(self.lengths):
             raise ValueError("duplicate length values")
-
-    def length_of(self, individual: int) -> float:
-        if individual == 1:
-            return math.inf
-        if not 2 <= individual <= self.n_max:
-            raise ValueError("individual outside 1..n_max")
-        return self.lengths[individual - 2]
 
 
 def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
@@ -218,10 +163,11 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
                     block_b=block_b)
 
 
-def _hazard_scan(times: list, n: int, target: float) -> tuple:
-    """(hazard, time, slope) at the start of the first linear segment of the
-    cumulative hazard, for n individuals and sorted event times, whose end
-    reaches target; past the last event the slope is 1."""
+def _invert_hazard(times: list, n: int, target: float) -> float:
+    """Time at which the cumulative hazard reaches target > 0, for n
+    individuals and sorted event times.  The hazard is piecewise linear with
+    slope equal to the block count, which ends at 1; the scan stops at the
+    first segment whose end reaches target and inverts it there."""
     total, prev, count = 0.0, 0.0, n
     for t in times:
         seg = count * (t - prev)
@@ -230,38 +176,7 @@ def _hazard_scan(times: list, n: int, target: float) -> tuple:
         total += seg
         prev = t
         count -= 1
-    return total, prev, count
-
-
-def _invert_hazard(times: list, n: int, target: float) -> float:
-    """Time at which the cumulative hazard reaches target > 0."""
-    total, prev, count = _hazard_scan(times, n, target)
     return prev + (target - total) / count
-
-
-def cumulative_hazard(traj: Trajectory, t: float) -> float:
-    """Integral of the block count over [0, t] for a complete trajectory."""
-    if not traj.is_complete:
-        raise ValueError("trajectory is not complete")
-    if not t >= 0.0:
-        raise ValueError("time must be non-negative")
-    times = traj.times[:bisect_left(traj.times, t)]
-    total, prev, count = _hazard_scan(times, traj.n, math.inf)
-    return total + count * (t - prev)
-
-
-def invert_cumulative_hazard(traj: Trajectory, target: float) -> float:
-    """Unique t with cumulative_hazard(traj, t) == target.
-
-    The hazard is piecewise linear with slope equal to the block count, which
-    ends at 1, so every positive target is attained and the segment-local
-    inversion is exact to rounding.
-    """
-    if not traj.is_complete:
-        raise ValueError("trajectory is not complete")
-    if not (target > 0.0 and math.isfinite(target)):
-        raise ValueError("target must be positive and finite")
-    return _invert_hazard(traj.times, traj.n, target)
 
 
 def _draw_length(times: list, n: int, u: float,

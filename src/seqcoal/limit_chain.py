@@ -22,10 +22,8 @@ from .streams import exp_inverse
 __all__ = [
     "sample_limit_batch",
     "WnLaw",
-    "wn_pmf",
     "wn_log_pmf",
     "wn_local_limit_error",
-    "conditional_wn",
     "rescaled_observables",
 ]
 
@@ -95,13 +93,6 @@ class WnLaw:
         k = np.arange(0, n + 1, dtype=float)
         return (2.0 * k / n) * ratio
 
-    def cdf_float(self) -> np.ndarray:
-        return np.cumsum(self.pmf_float())
-
-
-def wn_pmf(n: int) -> WnLaw:
-    return WnLaw.build(n)
-
 
 def wn_log_pmf(n: int, k) -> float | np.ndarray:
     """log P(W_n = k) through one log-gamma difference kernel; works far
@@ -131,27 +122,13 @@ def wn_local_limit_error(n: int, s_values) -> tuple:
     k = np.floor(s * math.sqrt(n)).astype(int)
     keep = (k >= 1) & (k <= n)
     s, k = s[keep], k[keep]
-    law = wn_pmf(n)
-    pmf = law.pmf_float()
+    pmf = WnLaw.build(n).pmf_float()
     # math.exp per point: numpy's exp loops round differently on CPUs
     # with and without AVX-512, so the output would depend on the CPU
     e = np.fromiter(map(math.exp, (-s * s).tolist()), float, s.size)
     approx = 2.0 * s * e / math.sqrt(n)
     rel = pmf[k] / approx - 1.0
     return s, rel
-
-
-def conditional_wn(n: int, k: int) -> dict:
-    """Exact law of W_n given W_n >= k, as Fractions keyed by value.
-
-    k <= 1 returns the unconditioned law restricted to its support.
-    """
-    law = wn_pmf(n)
-    lo = max(k, 1)
-    if lo > n:
-        raise ValueError("conditioning event is empty")
-    total = sum(law.weights[lo:], 0)
-    return {j: Fraction(law.weights[j], total) for j in range(lo, n + 1)}
 
 
 def rescaled_observables(R, A, burn_in: int = 0) -> tuple:

@@ -3,7 +3,6 @@ and extraction of record pairs from observed lineage lengths."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,13 +29,12 @@ _MIN_EXPECTED = 5.0
 # Named reference CDFs accepted by ks_one_sample.
 REFERENCE_CDFS = {
     "exp1": lambda x: -np.expm1(-np.maximum(x, 0.0)),
-    "uniform01": lambda x: np.clip(x, 0.0, 1.0),
 }
 
 
 @dataclass
 class TestReport:
-    """Outcome of one statistical check, serializable for verification logs."""
+    """Outcome of one statistical check."""
 
     test: str
     statistic: float
@@ -44,19 +42,6 @@ class TestReport:
     passed: bool
     n: int
     params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "pass": bool(self.passed),
-            "n": self.n,
-            "params": self.params,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _resolve_cdf(reference):

@@ -344,13 +344,13 @@ def c07_record_value_law(seed: int) -> CriterionResult:
         if lhs != n * 2**(2 * n - 1):
             return CriterionResult(7, "record_value_law", False, {
                 "identity_failed_at": n})
-        law = limit_chain.wn_pmf(n)
+        law = limit_chain.WnLaw.build(n)
         if sum(law.weights) != law.normalizer:
             return CriterionResult(7, "record_value_law", False, {
                 "normalizer_failed_at": n})
 
     n = 10**4
-    law = limit_chain.wn_pmf(n)
+    law = limit_chain.WnLaw.build(n)
     # normalizer against its n -> inf asymptotic, through logs
     log_exact = math.log(n) + (math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1)) - math.log(2)
     log_asym = 0.5 * math.log(n) - math.log(2 * math.sqrt(math.pi)) + 2 * n * math.log(2)

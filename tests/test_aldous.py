@@ -2,18 +2,15 @@
 
 import hashlib
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from seqcoal import aldous
-from seqcoal.aldous import (StickField, batch_first_record,
-                            identify_lineage_rank, identify_ra,
-                            match_rank_to_individual, partition_at,
-                            sample_stick_field)
-from seqcoal.kingman import Partition
+from seqcoal.aldous import (StickField, batch_first_record, identify_ra,
+                            partition_at)
 from seqcoal.stats import chi2_gof, extract_records
 from seqcoal.streams import stream
 
@@ -38,8 +35,10 @@ def _figure_field():
 # --- field construction -----------------------------------------------------
 
 
-def test_sample_stick_field_counts_and_lazy_extension():
-    field = sample_stick_field(5, 8, stream(1, 0))
+def test_stick_field_counts_and_lazy_extension():
+    field = StickField(stream(1, 0))
+    field.ensure_sticks(5)
+    field.ensure_individuals(8)
     assert len(field._sticks) == 5
     assert len(field._individuals) == 8
     assert all(0.0 < x < 1.0 for x in field._sticks + field._individuals)
@@ -47,13 +46,11 @@ def test_sample_stick_field_counts_and_lazy_extension():
     assert len(set(locs)) == len(locs)
     # extension past the initial counts keeps the prefix
     before = list(field._sticks)
-    assert field.stick_location(7) == field._sticks[6]
+    field.ensure_sticks(7)
+    assert len(field._sticks) == 7
     assert field._sticks[:5] == before
-    assert field.individual_location(9) > 0.0
-    with pytest.raises(ValueError):
-        sample_stick_field(0, 3, stream(1, 1))
-    with pytest.raises(ValueError):
-        field.stick_location(0)
+    field.ensure_individuals(9)
+    assert field._individuals[8] > 0.0
 
 
 _EDGE_COUNTS = (1, 31, 32, 33, 200)
@@ -75,8 +72,7 @@ def test_positions_follow_the_stream_layout_in_any_order():
             indivs_first = StickField(stream(*path))
             indivs_first.ensure_individuals(ni)
             indivs_first.ensure_sticks(ns)
-            sampled = sample_stick_field(ns, ni, stream(*path))
-            for field in (sticks_first, indivs_first, sampled):
+            for field in (sticks_first, indivs_first):
                 assert (field._sticks, field._individuals) == want
 
 
@@ -127,9 +123,14 @@ def test_zero_and_repeated_positions_are_skipped_in_stream_order():
         assert 0.0 not in locs and len(set(locs)) == len(locs)
     # the first block keeps 30 of each kind; stick 31 needs the second
     field = StickField(_ScriptedBlocks(blocks))
-    assert field.stick_location(30) == want_sticks[29]
-    assert field.individual_location(29) == want_indivs[28]
-    assert field.stick_location(31) == want_sticks[30]
+    field.ensure_sticks(30)
+    field.ensure_individuals(29)
+    assert field._sticks[29] == want_sticks[29]
+    assert field._individuals[28] == want_indivs[28]
+    assert len(field._rng.blocks) == 1
+    field.ensure_sticks(31)
+    assert field._sticks[30] == want_sticks[30]
+    assert not field._rng.blocks
 
 
 def test_height_tol_validation():
@@ -171,31 +172,31 @@ def test_height_means_match_two_over_j():
 # --- partitions -------------------------------------------------------------
 
 
-def _restrict(partition: Partition, n: int) -> set:
+def _restrict(blocks: list, n: int) -> set:
     keep = set(range(1, n + 1))
-    return {frozenset(b & keep) for b in partition.blocks if b & keep}
+    return {frozenset(b & keep) for b in blocks if b & keep}
 
 
 def test_partition_at_time_zero_is_singletons():
     field = _figure_field()
     p = partition_at(field, 0.0, 7)
-    assert len(p) == 7
-    assert all(len(b) == 1 for b in p.blocks)
+    assert p == [frozenset({i}) for i in range(1, 8)]
 
 
 def test_partition_at_figure_configuration():
     p = partition_at(_figure_field(), 1.0, 7)
-    assert set(p.blocks) == {frozenset({2, 4, 6}), frozenset({5}),
-                             frozenset({1}), frozenset({3, 7})}
+    # sorted by block minimum
+    assert p == [frozenset({1}), frozenset({2, 4, 6}), frozenset({3, 7}),
+                 frozenset({5})]
 
 
 def test_partition_restriction_consistency():
     field = _figure_field()
     p7 = partition_at(field, 1.0, 7)
     p6 = partition_at(field, 1.0, 6)
-    assert set(p6.blocks) == _restrict(p7, 6)
-    assert set(p6.blocks) == {frozenset({2, 4, 6}), frozenset({5}),
-                              frozenset({1}), frozenset({3})}
+    assert set(p6) == _restrict(p7, 6)
+    assert set(p6) == {frozenset({2, 4, 6}), frozenset({5}),
+                       frozenset({1}), frozenset({3})}
 
 
 def test_partition_restriction_on_sampled_fields():
@@ -205,7 +206,7 @@ def test_partition_restriction_on_sampled_fields():
         for t in (0.3, 1.1):
             p_hi = partition_at(field, t, 9)
             p_lo = partition_at(field, t, 8)
-            assert set(p_lo.blocks) == _restrict(p_hi, 8)
+            assert set(p_lo) == _restrict(p_hi, 8)
 
 
 def test_partition_above_tallest_stick_is_one_block():
@@ -228,6 +229,78 @@ def test_partition_merges_coarsen_with_time():
 
 
 # --- lineage ranks ----------------------------------------------------------
+#
+# identify_lineage_rank and match_rank_to_individual read one lineage's rank
+# and its inverse off a field, one stick or individual at a time; they are
+# the references that identify_ra and the separation oracles are checked
+# against.
+
+
+def _interval_bounds(separators: list, loc: float) -> tuple:
+    """Ends of the interval of the sorted separators that holds loc; the
+    ends of the unit interval stand in where loc has no separator."""
+    i = bisect_right(separators, loc)
+    lo = separators[i - 1] if i > 0 else 0.0
+    hi = separators[i] if i < len(separators) else 1.0
+    return lo, hi
+
+
+def _crowded(sorted_locs: list, lo: float, hi: float) -> bool:
+    """Some location lies strictly between lo and hi."""
+    return bisect_left(sorted_locs, hi) > bisect_right(sorted_locs, lo)
+
+
+def identify_lineage_rank(field: StickField, n: int, *,
+                          max_rank: int | None = None) -> int:
+    """Rank of individual n's lineage when it arrives: the smallest k such
+    that after planting sticks 1..k, individual n sits alone among the first
+    n individuals in its stick interval."""
+    if n < 2:
+        raise ValueError("need n >= 2; the first lineage has no finite rank")
+    field.ensure_individuals(n)
+    target = field._individuals[n - 1]
+    others = sorted(field._individuals[i] for i in range(n - 1))
+    sticks: list = []
+    k = 0
+    while True:
+        k += 1
+        if max_rank is not None and k > max_rank:
+            raise RuntimeError(f"not resolved within {max_rank} sticks")
+        field.ensure_sticks(k)
+        insort(sticks, field._sticks[k - 1])
+        if not _crowded(others, *_interval_bounds(sticks, target)):
+            return k
+
+
+def match_rank_to_individual(field: StickField, rank: int, *,
+                             max_individuals: int | None = None) -> int:
+    """The individual whose lineage carries the given rank.
+
+    With sticks 1..rank planted, individuals are planted one at a time
+    until the first one that lands alone in its stick interval while the
+    interval it would occupy among sticks 1..rank-1 already holds an
+    earlier individual.  That arrival is separated by stick `rank` and by
+    no shorter prefix of sticks, so its length is the rank-th tallest.
+    Inverse of identify_lineage_rank in every realization.
+    """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    field.ensure_sticks(rank)
+    sticks_full = sorted(field._sticks[:rank])
+    sticks_prev = sorted(field._sticks[:rank - 1])
+    earlier: list = []
+    m = 0
+    while True:
+        m += 1
+        if max_individuals is not None and m > max_individuals:
+            raise RuntimeError(f"no match within {max_individuals} individuals")
+        field.ensure_individuals(m)
+        loc = field._individuals[m - 1]
+        alone = not _crowded(earlier, *_interval_bounds(sticks_full, loc))
+        was_joined = _crowded(earlier, *_interval_bounds(sticks_prev, loc))
+        if alone and was_joined:
+            return m
+        insort(earlier, loc)
 
 
 def test_identify_lineage_rank_hand_cases():
@@ -268,7 +341,7 @@ def _separation_by_bisection(field: StickField, n: int) -> float:
     hi = field.stick_height(1) + 1.0
     for _ in range(60):
         mid = (lo + hi) / 2.0
-        if partition_at(field, mid, n).block_of(n) == frozenset({n}):
+        if frozenset({n}) in partition_at(field, mid, n):
             lo = mid
         else:
             hi = mid
@@ -412,7 +485,9 @@ def test_identify_ra_against_sorted_board_with_long_prefixes():
     # the field already holds more sticks and individuals than the chain
     # plants, so identify_ra must read only the prefix it has planted
     for i in range(100):
-        field = sample_stick_field(200, 400, stream(19, 7, i))
+        field = StickField(stream(19, 7, i))
+        field.ensure_sticks(200)
+        field.ensure_individuals(400)
         want = _planted_pairs(field._sticks, field._individuals, 3)
         got = identify_ra(field, 3, max_individuals=400, max_sticks=200)
         assert [(st.r, st.a) for st in got] == want
@@ -458,7 +533,7 @@ def test_identify_ra_first_position_law():
     probs = [2.0 / (n * (n + 1.0)) for n in range(2, 21)]
     probs.append(1.0 - math.fsum(probs))  # exact tail 2/21
     rep = chi2_gof(counts, probs)
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 def test_batch_first_record_scripted():
@@ -515,7 +590,7 @@ def test_batch_first_record_law():
     probs = [2.0 / (n * (n + 1.0)) for n in range(2, 21)]
     probs.append(1.0 - math.fsum(probs))
     rep = chi2_gof(counts, probs)
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 # --- rank-to-individual matching -------------------------------------------

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from seqcoal.limit_chain import sample_limit_batch, wn_local_limit_error, wn_pmf
+from seqcoal.limit_chain import WnLaw, sample_limit_batch, wn_local_limit_error
 from seqcoal.streams import exp_inverse, stream
 
 N_PIN = 10**4
@@ -26,7 +26,7 @@ def test_local_limit_sup_error_pinned():
 
 
 def test_exact_cdf_ks_against_exp1_pinned():
-    law = wn_pmf(N_PIN)
+    law = WnLaw.build(N_PIN)
     cdf = np.cumsum(law.pmf_float())
     k = np.arange(1, N_PIN + 1, dtype=np.float64)
     target = -np.expm1(-(k**2) / N_PIN)
@@ -41,7 +41,7 @@ def test_exact_cdf_ks_against_exp1_pinned():
 
 def test_normalizer_asymptotic_error_pinned():
     n = N_PIN
-    law = wn_pmf(n)
+    law = WnLaw.build(n)
     log_exact = (
         math.log(n)
         + math.lgamma(2 * n + 1)

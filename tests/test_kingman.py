@@ -8,39 +8,43 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seqcoal.kingman import (Partition, PeblsSequence, Trajectory,
-                             TrajectoryEvent, _merge, build_pebls,
-                             cumulative_hazard, extend_recursive,
-                             invert_cumulative_hazard, reconstruct_from_pebls,
+from seqcoal.kingman import (PeblsSequence, Trajectory, TrajectoryEvent,
+                             _invert_hazard, _merge, build_pebls,
+                             extend_recursive, reconstruct_from_pebls,
                              simulate_kingman, time_to_mrca)
 from seqcoal.stats import chi2_gof, chi2_two_sample, ks_one_sample
 from seqcoal.streams import stream
 
 
-def test_partition_validates_cover_and_overlap():
-    p = Partition(3, [frozenset({2, 3}), frozenset({1})])
-    assert len(p) == 2
-    assert p.block_of(3) == frozenset({2, 3})
-    # sorted by block minimum
-    assert [min(b) for b in p.blocks] == [1, 2]
-    with pytest.raises(ValueError):
-        Partition(3, [frozenset({1, 2})])
-    with pytest.raises(ValueError):
-        Partition(2, [frozenset({1, 2}), frozenset({2})])
+def _partition_at(traj: Trajectory, t: float) -> list:
+    """Blocks of the trajectory at time t, as frozensets sorted by their
+    minima; a merge at exactly t has already happened."""
+    members = {i: [i] for i in range(1, traj.n + 1)}
+    for time, a, b in zip(traj.times, traj.block_a, traj.block_b):
+        if time > t:
+            break
+        members[a] += members.pop(b)
+    return sorted((frozenset(g) for g in members.values()), key=min)
+
+
+def _cumulative_hazard(traj: Trajectory, t: float) -> float:
+    """Integral of the block count over [0, t] in closed form: the count
+    starts at n and loses one at each event, so each event t_i < t takes
+    t - t_i off n t."""
+    return traj.n * t - sum(t - s for s in traj.times if s < t)
 
 
 def test_simulate_structure():
     traj = simulate_kingman(8, stream(1, 0))
     assert traj.n == 8
     assert traj.is_complete
-    times = traj.event_times()
+    times = traj.times
     assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
-    assert traj.block_count_at(0.0) == 8
-    assert traj.block_count_at(times[-1]) == 1
-    assert len(traj.partition_at(times[-1])) == 1
+    assert len(_partition_at(traj, 0.0)) == 8
+    assert len(_partition_at(traj, times[-1])) == 1
     # one block disappears per event
     for i, t in enumerate(times):
-        assert len(traj.partition_at(t)) == 8 - i - 1
+        assert len(_partition_at(traj, t)) == 8 - i - 1
 
 
 def test_trajectory_rejects_stale_labels():
@@ -68,19 +72,12 @@ def test_mrca_mean_ten_individuals():
 def test_cumulative_hazard_round_trip():
     traj = simulate_kingman(9, stream(4, 0))
     for target in [0.05, 0.8, 3.0, 11.0]:
-        t = invert_cumulative_hazard(traj, target)
-        assert cumulative_hazard(traj, t) == pytest.approx(target, abs=1e-12)
+        t = _invert_hazard(traj.times, traj.n, target)
+        assert _cumulative_hazard(traj, t) == pytest.approx(target, abs=1e-12)
     # piecewise slopes equal the block count
-    t0 = traj.event_times()[0]
-    assert cumulative_hazard(traj, t0 / 2) == pytest.approx(9 * t0 / 2)
-    with pytest.raises(ValueError):
-        invert_cumulative_hazard(traj, 0.0)
-    with pytest.raises(ValueError):
-        cumulative_hazard(Trajectory(2, []), 1.0)
-    # NaN is not a time; an infinite time has infinite hazard
-    with pytest.raises(ValueError):
-        cumulative_hazard(traj, math.nan)
-    assert cumulative_hazard(traj, math.inf) == math.inf
+    t0 = traj.times[0]
+    assert _invert_hazard(traj.times, traj.n, 9 * t0 / 2) == pytest.approx(
+        t0 / 2)
 
 
 def test_inversion_at_an_event_returns_its_time():
@@ -88,13 +85,13 @@ def test_inversion_at_an_event_returns_its_time():
     # 3.5 at t = 1.5; a target equal to the hazard at an event is inverted
     # on the segment that ends there (the scan stops at total + seg >= target)
     traj = Trajectory(3, [TrajectoryEvent(0.5, 1, 2), TrajectoryEvent(1.5, 1, 3)])
-    for t in traj.event_times():
-        target = cumulative_hazard(traj, t)
-        assert invert_cumulative_hazard(traj, target) == t
-        assert invert_cumulative_hazard(traj, math.nextafter(target, 0.0)) < t
-        assert invert_cumulative_hazard(traj, math.nextafter(target, 9.0)) > t
-    assert cumulative_hazard(traj, 0.5) == 1.5
-    assert cumulative_hazard(traj, 1.5) == 3.5
+    assert _cumulative_hazard(traj, 0.5) == 1.5
+    assert _cumulative_hazard(traj, 1.5) == 3.5
+    for t in traj.times:
+        target = _cumulative_hazard(traj, t)
+        assert _invert_hazard(traj.times, 3, target) == t
+        assert _invert_hazard(traj.times, 3, math.nextafter(target, 0.0)) < t
+        assert _invert_hazard(traj.times, 3, math.nextafter(target, 9.0)) > t
 
 
 def test_extend_recursive_grows_by_one():
@@ -128,13 +125,10 @@ def test_build_pebls_shape_and_conventions():
     assert isinstance(traj, Trajectory)
     assert traj.n == 12 and traj.is_complete
     assert pebls.n_max == 12
-    assert pebls.length_of(1) == math.inf
-    vals = [pebls.length_of(i) for i in range(2, 13)]
+    vals = pebls.lengths
     assert len(vals) == 11
     assert all(v > 0 and math.isfinite(v) for v in vals)
     assert len(set(vals)) == 11
-    with pytest.raises(ValueError):
-        pebls.length_of(13)
 
 
 def test_build_pebls_mrca_is_largest_length():
@@ -143,6 +137,18 @@ def test_build_pebls_mrca_is_largest_length():
     pebls, traj = build_pebls(10, stream(8, 0))
     assert time_to_mrca(traj) == max(pebls.lengths)
     assert {ev.time for ev in traj.events} == set(pebls.lengths)
+
+
+def test_reconstruction_repeats_the_recursive_mrca():
+    # for the same lengths both trees have their events at the lengths, so
+    # both T_MRCA values are max(lengths), whatever partners the
+    # reconstruction draws: c11's reconstructed route samples the
+    # recursive route's T_MRCA again on another stream
+    for seed in range(2000):
+        pebls, built = build_pebls(10, stream(39, seed, 0))
+        rebuilt = reconstruct_from_pebls(pebls, stream(39, seed, 1))
+        assert built.times == rebuilt.times == sorted(pebls.lengths)
+        assert time_to_mrca(built) == time_to_mrca(rebuilt)
 
 
 @pytest.mark.parametrize("n", [2, 10, 160])
@@ -188,7 +194,7 @@ def test_build_pebls_reads_one_block_of_rows(n):
     rows = stream(38, n).random((n - 1, 2)).tolist()
     traj, lengths = Trajectory(1, []), []
     for m, (u_length, u_partner) in enumerate(rows, start=1):
-        length = invert_cumulative_hazard(traj, -math.log(u_length))
+        length = _invert_hazard(traj.times, traj.n, -math.log(u_length))
         eligible = [1] + [j for j in range(2, m + 1) if lengths[j - 2] > length]
         partner = eligible[int(u_partner * len(eligible))]
         lengths.append(length)
@@ -278,8 +284,8 @@ def test_trajectory_rejects_bad_labels():
         Trajectory(2, [TrajectoryEvent(1.0, 1, 1)])
     traj = Trajectory(3, [TrajectoryEvent(0.5, 2, 3), TrajectoryEvent(1.0, 1, 2)])
     assert traj.is_complete
-    assert traj.partition_at(0.7).blocks == [frozenset({1}), frozenset({2, 3})]
-    assert len(traj.partition_at(1.0)) == 1
+    assert _partition_at(traj, 0.7) == [frozenset({1}), frozenset({2, 3})]
+    assert len(_partition_at(traj, 1.0)) == 1
 
 
 def _builder_outputs(n, seed):
@@ -300,7 +306,7 @@ def test_builder_outputs_validate(n, seeds):
             traj.validate()
             assert traj.is_complete
             end = traj.events[-1].time if traj.events else 0.0
-            assert len(traj.partition_at(end)) == 1
+            assert len(_partition_at(traj, end)) == 1
         pebls, _ = build_pebls(n, stream(31, n, seed, 1))
         PeblsSequence(pebls.n_max, list(pebls.lengths))
 

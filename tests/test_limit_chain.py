@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqcoal.limit_chain import (conditional_wn, rescaled_observables,
+from seqcoal.limit_chain import (WnLaw, rescaled_observables,
                                  sample_limit_batch, wn_local_limit_error,
-                                 wn_log_pmf, wn_pmf)
+                                 wn_log_pmf)
 from seqcoal.ra_chain import RAState, sample_paths_batch
 from seqcoal.stats import ks_one_sample
 from seqcoal.streams import exp_inverse, stream
@@ -66,7 +66,7 @@ def test_stationarity_preserved():
     assert abs(xi.mean() - 1.0) < 0.01
     assert abs((xi ** 2).mean() - 2.0) < 0.05
     rep = ks_one_sample(xi, "exp1")
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 def test_one_step_drift():
@@ -80,21 +80,21 @@ def test_one_step_drift():
 
 
 def test_wn_small_laws_by_hand():
-    law2 = wn_pmf(2)
+    law2 = WnLaw.build(2)
     assert law2.weights == [0, 4, 2]
     assert law2.normalizer == 6
     assert law2.pmf_exact(1) == Fraction(2, 3)
     assert law2.pmf_exact(2) == Fraction(1, 3)
     assert law2.pmf_exact(0) == 0
     assert law2.pmf_exact(3) == 0
-    law3 = wn_pmf(3)
+    law3 = WnLaw.build(3)
     assert law3.weights == [0, 15, 12, 3]
     assert law3.normalizer == 30
 
 
 def test_wn_normalizer_identities_big_integer():
     for n in list(range(1, 31)) + [77, 200]:
-        law = wn_pmf(n)
+        law = WnLaw.build(n)
         assert sum(law.weights) == law.normalizer
         assert law.normalizer == n * math.comb(2 * n, n) // 2
         # the underlying half-range identity
@@ -104,23 +104,23 @@ def test_wn_normalizer_identities_big_integer():
 
 def test_wn_build_guards():
     with pytest.raises(ValueError):
-        wn_pmf(0)
+        WnLaw.build(0)
     with pytest.raises(ValueError):
-        wn_pmf(10**4 + 1)
+        WnLaw.build(10**4 + 1)
 
 
 def test_wn_pmf_float_matches_exact():
-    law = wn_pmf(50)
+    law = WnLaw.build(50)
     floats = law.pmf_float()
     assert floats.shape == (51,)
     for k in range(0, 51):
         assert floats[k] == pytest.approx(float(law.pmf_exact(k)), rel=1e-12)
-    assert law.cdf_float()[-1] == pytest.approx(1.0, abs=1e-12)
+    assert floats.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wn_log_pmf_matches_float_pmf():
     n = 1000
-    law = wn_pmf(n)
+    law = WnLaw.build(n)
     floats = law.pmf_float()[1:]
     logs = wn_log_pmf(n, np.arange(1, n + 1))
     # the double-precision pmf underflows in the far tail; compare where it
@@ -154,7 +154,8 @@ def test_wn_log_pmf_support_and_scalar():
     assert wn_log_pmf(10, -3) == -math.inf
     v = wn_log_pmf(10, 4)
     assert isinstance(v, float)
-    assert v == pytest.approx(math.log(float(wn_pmf(10).pmf_exact(4))), rel=1e-12)
+    exact = float(WnLaw.build(10).pmf_exact(4))
+    assert v == pytest.approx(math.log(exact), rel=1e-12)
     with pytest.raises(ValueError):
         wn_log_pmf(0, 1)
 
@@ -171,8 +172,22 @@ def test_wn_local_limit_error_shape():
     assert kept.tolist() == [1.0] and rel.shape == (1,)
 
 
+def conditional_wn(n: int, k: int) -> dict:
+    """Exact law of W_n given W_n >= k, as Fractions keyed by value; the
+    reference the rank transition law is checked against.
+
+    k <= 1 returns the unconditioned law restricted to its support.
+    """
+    law = WnLaw.build(n)
+    lo = max(k, 1)
+    if lo > n:
+        raise ValueError("conditioning event is empty")
+    total = sum(law.weights[lo:], 0)
+    return {j: Fraction(law.weights[j], total) for j in range(lo, n + 1)}
+
+
 def test_conditional_wn_unconditioned_and_mass():
-    law = wn_pmf(6)
+    law = WnLaw.build(6)
     free = conditional_wn(6, 0)
     assert set(free) == set(range(1, 7))
     for j, p in free.items():

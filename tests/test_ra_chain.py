@@ -83,7 +83,7 @@ def test_sample_a1_array():
     probs = [2.0 / (n * (n + 1.0)) for n in range(2, 51)]
     probs.append(1.0 - math.fsum(probs))
     rep = chi2_gof(counts, probs)
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 # --- rank transition --------------------------------------------------------
@@ -492,7 +492,7 @@ def test_sample_r_next_frequencies():
     counts = np.bincount(draws, minlength=6)[2:6]
     probs = r_pmf_vector(1, 5)
     rep = chi2_gof(counts, probs)
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 def test_sample_a_next_inversion():
@@ -519,7 +519,7 @@ def test_sample_a_next_tail_frequencies():
     probs = [float(a_pmf_exact(prior, 2, y)) for y in range(1, 30)]
     probs.append(float(a_tail_exact(prior, 2, 30)))
     rep = chi2_gof(counts, probs)
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 # --- position transition ----------------------------------------------------
@@ -756,4 +756,4 @@ def test_rescaled_rank_keeps_its_limit_law_past_1e28():
         assert abs(np.median(band) - math.log(2.0)) < 0.1, lo
     # the last state of every lane, one independent draw each, past 1e36
     rep = ks_one_sample(xi[-1], "exp1")
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
