@@ -3,9 +3,11 @@
 Rescaling the record chain by xi_i = R_i^2 / A_i and eta_i = ln(A_i / A_{i-1})
 yields, in the limit of late records, an autonomous chain
     xi_{i+1} = (xi_i + X) exp(-eta),   X, eta independent Exp(1),
-whose stationary law is Exp(1).  Separately, the rank of a uniformly chosen
-lineage at the time the n-th individual arrives (the record value W_n) has an
-exact binomial-weight law with Gaussian-type bulk behaviour at scale sqrt(n).
+whose stationary law is Exp(1).  The damping factor U = exp(-eta) is
+uniform on (0, 1], and the sampler draws it as one.  Separately, the rank
+of a uniformly chosen lineage at the time the n-th individual arrives (the
+record value W_n) has an exact binomial-weight law with Gaussian-type bulk
+behaviour at scale sqrt(n).
 """
 
 from __future__ import annotations
@@ -33,15 +35,16 @@ _EXACT_WN_LIMIT = 10**4
 def sample_limit_batch(xi0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Advance many limit-chain states by one step in lockstep.
 
-    Draws the increment array X first, then the damping array eta, each
-    of xi0's shape, and returns (xi0 + X) exp(-eta).  Raises ValueError
-    unless every start is finite and >= 0.
+    Draws the increment array X first, then a uniform array u, each of
+    xi0's shape, and returns (xi0 + X) U with U = 1 - u.  U stands for
+    the damping factor exp(-eta): with eta ~ Exp(1) it is uniform on
+    (0, 1], and 1 - u is exact and never 0, so the step takes no exp and
+    redraws nothing.  Raises ValueError unless every start is finite and
+    >= 0.
     """
     if np.count_nonzero((xi0 >= 0.0) & (xi0 < np.inf)) < xi0.size:
         raise ValueError("xi must be finite and >= 0")
-    x = exp_inverse(rng, xi0.shape)
-    eta = exp_inverse(rng, xi0.shape)
-    return (xi0 + x) * np.exp(-eta)
+    return (xi0 + exp_inverse(rng, xi0.shape)) * (1.0 - rng.random(xi0.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -57,18 +57,6 @@ _FLOAT_LIMIT = 1e300
 # Every integer below this is an exact double.
 _EXACT_DOUBLE = 2**53
 
-# Largest position at which a lane left open by the first guided point takes
-# the second.  One rank step moves the log tail by about 2/sqrt(a); near
-# a = 1e30 that is its rounding, and a settle read off the one-step ratio
-# and the gallop's direct evaluation can put ln u on different sides of one
-# tail value, so the second point returns some draws one rank off those of
-# the gallop alone: with r near sqrt(a Exp(1)), 1 lane in 4e5 at a in
-# 1e21-1e22, 1 in 440 at 1e28-1e29, and none of 5.2e6 at 1e8-1e21.  Past
-# this bound the lanes gallop from the first point, so seeded paths that
-# run that far, as `seqcoal ra-sample --steps 100` does, keep the draws of
-# the gallop.
-_SECOND_POINT_LIMIT = 2.0**53
-
 # Rank-law products of this many ratios or more are multiplied by
 # np.cumprod, shorter ones by the Python loop, which costs less to set up.
 # On a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), r_tail at (300, 1e9) took
@@ -319,13 +307,12 @@ def _invert_open(r, a, log_u, max_x):
     open takes a second point: one Newton step on the log tail from the
     first, t + floor((ln u - v)/q) with the log ratio q as its slope, which
     moves at least one step the way the first point pointed; one more
-    evaluation there settles it the same way.  Lanes with a past
-    _SECOND_POINT_LIMIT skip it and gallop from the first point.  On
-    20 x 1563 paths of 29 steps from (1, 2), the first point left 4416 of
-    867 840 lane-steps open and the second settled all of them.  On the
-    lanes still open, steps doubling away from the last point find a
-    bracket, and bisection closes it.  Every later evaluation runs on the
-    lanes still open, gathered by index.
+    evaluation there settles it the same way.  On 20 x 1563 paths of 29
+    steps from (1, 2), the first point left 4416 of 867 840 lane-steps
+    open and the second settled all of them.  On the lanes still open,
+    steps doubling away from the last point find a bracket, and bisection
+    closes it.  Every later evaluation runs on the lanes still open,
+    gathered by index.
     """
     b = 2.0 * r + 1.0
     ae = -a * log_u
@@ -341,10 +328,10 @@ def _invert_open(r, a, log_u, max_x):
     idx = open_.nonzero()[0]
     r, a, log_u, max_x, t, v, q = (w[idx] for w in (r, a, log_u, max_x, t,
                                                      v, q))
-    # the second point; a lane past _SECOND_POINT_LIMIT, or whose Newton
-    # step is not finite (q rounded to 0), stays at t, where v is known
+    # the second point; a lane whose Newton step is not finite (q rounded
+    # to 0) stays at t, where v is known
     newton = np.floor((log_u - v) / q)
-    moved = np.isfinite(newton) & (a <= _SECOND_POINT_LIMIT)
+    moved = np.isfinite(newton)
     if np.count_nonzero(moved):
         t = np.where(moved, np.minimum(np.maximum(t + newton, 1.0),
                                        max_x - 1.0), t)

@@ -6,8 +6,6 @@ master seed and a fixed integer path, so output depends only on the seed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["stream", "nonzero_uniform", "exp_inverse"]
@@ -47,17 +45,14 @@ def nonzero_uniform(rng: np.random.Generator, size: int | tuple | None = None):
 
 
 def exp_inverse(rng: np.random.Generator, size: int | tuple | None = None):
-    """Standard exponential draws by inversion, -ln(u).
+    """Standard exponential draws: rng.standard_exponential(size).
 
-    u is drawn by nonzero_uniform, so u == 0.0 is redrawn.  A scalar draw
-    takes the log with math.log.  An array draw takes it with np.log, whose
-    result follows numpy's run-time SIMD dispatch: on an x86 CPU with
-    AVX-512 it differs from math.log by one ulp in about 0.35% of values,
-    and with that dispatch turned off (NPY_DISABLE_CPU_FEATURES) it does
-    not.  So array draws, and every output built from them, reproduce
-    exactly only across machines that take the same numpy log kernel.
+    One rule for scalar and array calls: numpy's ziggurat, which takes
+    scalar libm calls on its rare slow paths and no SIMD loop, so its
+    values do not depend on which loops numpy dispatches for the CPU, and
+    n scalar draws equal one array draw of n, or chunks of it, on the
+    same stream.  It can return 0.0, with probability 2^-53 per draw; no
+    caller divides by or takes the log of the value, so none redraws it.
+    A scalar call returns a Python float.
     """
-    u = nonzero_uniform(rng, size)
-    if size is None:
-        return -math.log(u)
-    return -np.log(u)
+    return rng.standard_exponential(size)

@@ -15,14 +15,22 @@ from seqcoal.streams import exp_inverse, stream
 
 
 class ScriptedRNG:
+    """Returns pre-chosen values in order, and logs which draw took them."""
+
     def __init__(self, values):
         self.values = list(values)
+        self.calls = []
 
-    def random(self, size=None):
-        if size is None:
-            return self.values.pop(0)
+    def _take(self, name, size):
+        self.calls.append(name)
         count = int(np.prod(size))
         return np.array([self.values.pop(0) for _ in range(count)]).reshape(size)
+
+    def random(self, size):
+        return self._take("random", size)
+
+    def standard_exponential(self, size):
+        return self._take("standard_exponential", size)
 
 
 def test_limit_batch_start_validation():
@@ -34,15 +42,14 @@ def test_limit_batch_start_validation():
 
 
 def test_limit_step_algebra():
-    # the increments X = 1, 2 (u = e^-1, e^-2) are drawn first as one array,
-    # then the damping exponents eta = 0.5, 1 (u = e^-0.5, e^-1)
-    rng = ScriptedRNG([math.exp(-1.0), math.exp(-2.0),
-                       math.exp(-0.5), math.exp(-1.0)])
+    # the increments X = 1, 2 are drawn first as one array, then the
+    # uniforms u = 0.5, 0 as one array, so U = 1 - u = 0.5, 1: a u of 0
+    # gives U = 1 and is not redrawn
+    rng = ScriptedRNG([1.0, 2.0, 0.5, 0.0])
     out = sample_limit_batch(np.array([2.0, 0.0]), rng)
+    assert rng.calls == ["standard_exponential", "random"]
     assert rng.values == []
-    assert out.shape == (2,)
-    assert out[0] == pytest.approx(3.0 * math.exp(-0.5), rel=1e-14)
-    assert out[1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+    assert out.tolist() == [1.5, 2.0]
 
 
 def test_limit_batch_draws_per_entry():
@@ -52,9 +59,9 @@ def test_limit_batch_draws_per_entry():
         out = sample_limit_batch(start, stream(0, 0))
         rng = stream(0, 0)
         x = exp_inverse(rng, start.size)
-        eta = exp_inverse(rng, start.size)
+        u = rng.random(start.size)
         assert out.shape == start.shape
-        assert np.array_equal(out.ravel(), (start.ravel() + x) * np.exp(-eta))
+        assert np.array_equal(out.ravel(), (start.ravel() + x) * (1.0 - u))
         assert np.unique(out).size == out.size
 
 

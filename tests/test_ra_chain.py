@@ -16,7 +16,7 @@ from seqcoal.ra_chain import (RAState, a_pmf, a_pmf_exact, a_pmf_vector,
                               sample_r_next, sample_r_next_batch, urn_oracle_a,
                               urn_oracle_r)
 from seqcoal.stats import chi2_gof, ks_one_sample
-from seqcoal.streams import exp_inverse, nonzero_uniform, stream
+from seqcoal.streams import nonzero_uniform, stream
 
 
 class ScriptedRNG:
@@ -64,7 +64,6 @@ def test_nonzero_uniform_redraws_zeros():
     assert nonzero_uniform(ScriptedRNG([0.0, 0.0, 0.25])) == 0.25
     got = nonzero_uniform(ScriptedRNG([0.5, 0.0, 0.75, 0.0, 0.0, 0.125]), 3)
     assert got.tolist() == [0.5, 0.125, 0.75]
-    assert exp_inverse(ScriptedRNG([0.0, 0.5])) == -math.log(0.5)
     # a 2-D block, the shape the Kingman builders draw: its zeros are
     # redrawn in row-major order, all of them in one call, until none is left
     rng = ScriptedRNG([0.5, 0.0, 0.75, 0.25, 0.0, 0.125, 0.375, 0.0, 0.625])
@@ -230,21 +229,21 @@ def test_limit_criteria_details_pinned():
     c08 = verify.run_criterion(8, 0)
     assert c08.passed
     assert c08.details == {
-        "moment_1_z": -0.163453, "moment_2_z": -0.510381,
-        "moment_3_z": -0.745906, "moment_4_z": -0.810799, "ks_p": 0.794458,
-        "drift_x0_z": -0.30147, "drift_x1_z": -0.887575,
-        "drift_x2_z": -0.673545}
+        "moment_1_z": 1.01853, "moment_2_z": 1.71995,
+        "moment_3_z": 1.54742, "moment_4_z": 1.00632, "ks_p": 0.24003,
+        "drift_x0_z": 1.22778, "drift_x1_z": -0.384936,
+        "drift_x2_z": 0.280042}
     c09 = verify.run_criterion(9, 0)
     assert c09.passed
     assert c09.details == {"ks_xi": 0.00274693, "ks_eta": 0.00181467,
-                           "corr_chain": 0.5039, "corr_limit": 0.497901,
-                           "corr_sigma": 0.0024763}
+                           "corr_chain": 0.5039, "corr_limit": 0.499204,
+                           "corr_sigma": 0.00247591}
     # seed 2 fails the correlation gate (ROADMAP item 10)
     c09 = verify.run_criterion(9, 2)
     assert not c09.passed
     assert c09.details == {"ks_xi": 0.00273658, "ks_eta": 0.00234845,
-                           "corr_chain": 0.491425, "corr_limit": 0.500354,
-                           "corr_sigma": 0.00251301}
+                           "corr_chain": 0.491425, "corr_limit": 0.501602,
+                           "corr_sigma": 0.00251264}
 
 
 def test_field_criterion_details_pinned():
@@ -367,8 +366,9 @@ def test_guided_inversion_settles_by_the_second_point(monkeypatch):
 def test_guided_inversion_forced_lanes_leave_the_open_ones_alone(monkeypatch):
     # lanes with a - r = 1 take x = 1 and never reach the kernel, so the
     # open lanes among them draw what they draw alone, to the bit, from
-    # log_gamma_diff calls on the same lanes in the same order; lanes past
-    # 2^53 gallop from the first point, so every stage of the search runs
+    # log_gamma_diff calls on the same lanes in the same order; past about
+    # a = 1e28 one rank step is within the tail's rounding and some lanes
+    # gallop on from the second point, so every stage of the search runs
     rng = stream(27, 5)
     n = 3000
     a = np.floor(10.0 ** rng.uniform(1.0, 40.0, n))
@@ -399,6 +399,51 @@ def test_guided_inversion_forced_lanes_leave_the_open_ones_alone(monkeypatch):
     assert len(mixed_calls) == len(alone_calls) >= 3
     for got, want in zip(mixed_calls, alone_calls):
         assert got.tobytes() == want.tobytes()
+
+
+def _second_point_cases(mp):
+    """(r, a, x, ln u) past 2^53 whose answer x lies k = 2..5 ranks below
+    the first point t, so that the first point misses: ln u is the middle
+    of the log gap between the exact L(x + 1) and L(x).  At r = a/2 and
+    a/4 the leading-order guess overshoots by about 10% and 2% of x."""
+    cases = []
+    for a in (10**16, 10**18, 10**20, 10**22):
+        for r in (a // 2, a // 4):
+            wanted = {2, 3, 4, 5}
+            x, ell = 1, mp.mpf(0)  # ell = L(x)
+            while wanted:
+                nxt = ell + mp.log(mp.mpf(a - r - x) / (a + r + x))
+                log_u = float((ell + nxt) / 2)
+                # the first point, as _invert_open takes it
+                b, ae = 2.0 * r + 1.0, -a * log_u
+                t = math.floor(1.0 + 2.0 * ae
+                               / (b + math.sqrt(b * b + 4.0 * ae)))
+                if t - x in wanted:
+                    wanted.discard(t - x)
+                    cases.append((r, a, x, log_u))
+                x, ell = x + 1, nxt
+    return cases
+
+
+def test_second_point_settles_lanes_past_2_53(monkeypatch):
+    # past 2^53 a lane that the first point leaves open takes the second
+    # point as any other: one more log_gamma_diff call, on those lanes only,
+    # settles them all, and the draw is exact
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        cases = _second_point_cases(mpmath.mp)
+    assert len(cases) == 32
+    r, a, x, log_u = (np.array(col, dtype=float) for col in zip(*cases))
+    calls = []
+
+    def counted(z, gap, m):
+        calls.append(z.size)
+        return log_gamma_diff(z, gap, m)
+
+    monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
+    got = ra_chain._invert_rank(r, a, log_u)
+    assert np.array_equal(got, x)
+    assert calls == [32, 32]
 
 
 def _boundary_cases(mp):
