@@ -66,12 +66,9 @@ class StickField:
             raise ValueError("height_tol out of range")
         self._rng = rng
         self.height_tol = float(height_tol)
+        # every kept value of each kind, in stream order
         self._sticks: list = []
         self._individuals: list = []
-        # every kept value of each kind in stream order; _sticks and
-        # _individuals hold the prefixes that were requested
-        self._kept_sticks: list = []
-        self._kept_individuals: list = []
         # 0.0 and every value drawn so far; a skipped value repeats one
         self._taken: set = {0.0}
         self._heights: np.ndarray | None = None
@@ -82,32 +79,30 @@ class StickField:
         size = len(taken)
         taken.update(vals)
         if len(taken) - size == _BLOCK:
-            self._kept_sticks += vals[0::2]
-            self._kept_individuals += vals[1::2]
+            self._sticks += vals[0::2]
+            self._individuals += vals[1::2]
             return
         # A zero or a repeat.  The update has already added the block, so
         # rebuild the set from the values kept before it and replay the
         # block one value at a time.
         taken.clear()
         taken.add(0.0)
-        taken.update(self._kept_sticks, self._kept_individuals)
+        taken.update(self._sticks, self._individuals)
         for k, x in enumerate(vals):
             if x not in taken:
                 taken.add(x)
-                kept = self._kept_individuals if k % 2 else self._kept_sticks
+                kept = self._individuals if k % 2 else self._sticks
                 kept.append(x)
 
-    def _take(self, out: list, kept: list, count: int):
-        if count > len(out):
-            while len(kept) < count:
-                self._draw_block()
-            out += kept[len(out):count]
-
     def ensure_sticks(self, m: int):
-        self._take(self._sticks, self._kept_sticks, m)
+        """Draw blocks until the field holds at least m sticks."""
+        while len(self._sticks) < m:
+            self._draw_block()
 
     def ensure_individuals(self, n: int):
-        self._take(self._individuals, self._kept_individuals, n)
+        """Draw blocks until the field holds at least n individuals."""
+        while len(self._individuals) < n:
+            self._draw_block()
 
     def ensure_heights(self):
         """Materialize stick heights once.
@@ -182,8 +177,10 @@ def identify_ra(field: StickField, max_pairs: int, *,
     A hunt scans the individuals in planting order against the anchor and
     its two neighbouring sticks.  The planted individuals are sorted only
     between hunts, where the next stick's crowding test reads the two of
-    them next to it.  Sticks and individuals are drawn from the field only
-    when the ones it holds run out.  Returns up to max_pairs states;
+    them next to it.  Sticks are asked of the field one at a time and
+    individuals half a block at a time, and a hunt reads individuals only
+    up to the last request, so the blocks a field draws depend on its hunts
+    alone, also after a skipped value.  Returns up to max_pairs states;
     hitting either cap returns the pairs certified so far (a censored
     prefix).
     """
@@ -197,6 +194,8 @@ def identify_ra(field: StickField, max_pairs: int, *,
     sticks: list = []  # planted stick locations, sorted
     individuals: list = []  # individuals planted before this hunt, sorted
     planted = hunted = 0  # sticks and individuals planted so far
+    drawn = field._individuals
+    requested = 0  # individuals asked of the field so far
     pairs: list = []
     while len(pairs) < max_pairs:
         while True:
@@ -217,16 +216,14 @@ def identify_ra(field: StickField, max_pairs: int, *,
                 break
         # no stick is planted during the hunt, so lo and hi stay the
         # anchor's neighbours
-        drawn = field._individuals
         start = hunted
         while not (left and right):
             if hunted >= indiv_cap:
                 return pairs
-            if hunted == len(drawn):
-                # positions do not depend on how many are drawn at a time
-                field.ensure_individuals(min(hunted + _BLOCK // 2, indiv_cap))
-                drawn = field._individuals
-            stop = min(len(drawn), indiv_cap)
+            if hunted == requested:
+                requested = min(hunted + _BLOCK // 2, indiv_cap)
+                field.ensure_individuals(requested)
+            stop = requested
             for loc in drawn[hunted:stop]:
                 if lo < loc < hi:
                     if loc < anchor:

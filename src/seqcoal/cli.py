@@ -26,8 +26,6 @@ _NS_RA_SAMPLE = 23
 _NS_RA_EXTRACT = 24
 _NS_LIMIT = 25
 
-_FLOAT_EXACT_LIMIT = float(2**53)
-
 
 def _emit(text: str, out: str | None):
     if out is None:
@@ -89,7 +87,7 @@ def _exact_ints(X: np.ndarray) -> list:
     """X as nested lists, its values Python ints up to 2^53, where every
     integer is an exact double, and floats past it, so that str() writes
     `123`, or a float's repr such as `3.3304163501621165e+17`."""
-    small = X <= _FLOAT_EXACT_LIMIT
+    small = X <= ra_chain._EXACT_DOUBLE
     ints = np.where(small, X, 0.0).astype(np.int64).astype(object)
     return np.where(small, ints, X.astype(object)).tolist()
 
@@ -109,7 +107,7 @@ def _cmd_ra_sample(args) -> int:
     kept = _kept_states(args)
     rng = stream(args.seed, _NS_RA_SAMPLE, 0)
     R, A = ra_chain.sample_paths_batch(args.paths, args.steps, rng, start=(1, 2))
-    if float(A[-1].max()) > _FLOAT_EXACT_LIMIT:
+    if float(A[-1].max()) > ra_chain._EXACT_DOUBLE:
         sys.stderr.write(
             "note: some positions passed the exact integer range and continue "
             "in double precision\n")
@@ -204,9 +202,10 @@ def _cmd_verify(args) -> int:
         status = "pass" if res.passed else "FAIL"
         sys.stderr.write(f"criterion {n:2d} {res.name:28s} {status}  {dt:7.2f}s\n")
         results.append(res)
-    report = verify.json_report(results, args.seed)
-    _emit(report + "\n", args.out)
-    return 0 if all(r.passed for r in results) else 1
+    all_pass = all(r.passed for r in results)
+    _write_json(args, {"seed": args.seed, "all_pass": all_pass,
+                       "criteria": [r.to_dict() for r in results]})
+    return 0 if all_pass else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

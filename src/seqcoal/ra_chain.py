@@ -218,14 +218,12 @@ def r_tail_vector(r, a, max_x: int | None = None) -> np.ndarray:
 
 
 def r_pmf_exact(state: RAState, x) -> Fraction:
-    """Product-form pmf as an exact rational."""
+    """Product-form pmf as an exact rational: the absorption factor
+    (2r+2x)/(a+r+x) times r_tail_exact."""
     r, a = state.r, state.a
     if x < 1 or x > a - r:
         return Fraction(0)
-    acc = Fraction(2 * r + 2 * x, a + r + x)
-    for k in range(1, x):
-        acc *= Fraction(a - r - k, a + r + k)
-    return acc
+    return Fraction(2 * r + 2 * x, a + r + x) * r_tail_exact(state, x)
 
 
 def r_tail_exact(state: RAState, x) -> Fraction:
@@ -526,7 +524,7 @@ def sample_a_next(state: RAState, r_next, rng: np.random.Generator):
         z = float(c) * (1.0 - u) / u
         if math.isfinite(z):
             break
-    if isinstance(a, (int, np.integer)):
+    if isinstance(a, _WHOLE):
         return a + int(z) + 1
     return a + math.floor(z) + 1.0
 
@@ -610,8 +608,13 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
 # urn oracles: the planting process reduced to category counts, in exact
 # rational arithmetic, independent of the closed forms above
 
+# Largest a that urn_oracle_r enumerates, and largest c = a + r_next that
+# urn_oracle_a does: the sizes verify criteria 2 and 3 reach.
+_URN_MAX_A = 12
+_URN_MAX_C = 1000
 
-def urn_oracle_r(state: RAState, *, max_a: int = 12) -> list:
+
+def urn_oracle_r(state: RAState) -> list:
     """Exact rank-transition law by enumerating the stick-planting urn.
 
     Subintervals fall into three categories: 2r flanking an existing relevant
@@ -621,8 +624,8 @@ def urn_oracle_r(state: RAState, *, max_a: int = 12) -> list:
     absorbs.  Returns P(x) for x = 1..a-r as Fractions.
     """
     r, a = state.r, state.a
-    if a > max_a:
-        raise ValueError(f"urn enumeration capped at a = {max_a}")
+    if a > _URN_MAX_A:
+        raise ValueError(f"urn enumeration capped at a = {_URN_MAX_A}")
     flank = 2 * r
     boundary = 2
     inner = a - r - 1
@@ -638,16 +641,15 @@ def urn_oracle_r(state: RAState, *, max_a: int = 12) -> list:
     return probs
 
 
-def urn_oracle_a(state: RAState, r_next, y_cutoff: int, *,
-                 max_c: int = 1000) -> tuple:
+def urn_oracle_a(state: RAState, r_next, y_cutoff: int) -> tuple:
     """Exact position-transition law by enumerating the individual-planting
     urn: one target gap among c + y subintervals at attempt y, each failure
     adding a subinterval.  Returns (probs for y = 1..y_cutoff, exact tail
     P(y > y_cutoff))."""
     _check_rank_step(state, r_next)
     c = state.a + r_next
-    if c > max_c:
-        raise ValueError(f"urn enumeration capped at a + r_next = {max_c}")
+    if c > _URN_MAX_C:
+        raise ValueError(f"urn enumeration capped at a + r_next = {_URN_MAX_C}")
     if y_cutoff < 1:
         raise ValueError("need a cutoff >= 1")
     surviving = Fraction(1)

@@ -9,7 +9,6 @@ seed.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from . import aldous, kingman, limit_chain, ra_chain
 from .stats import chi2_gof, chi2_two_sample, ks_one_sample, ks_two_sample, tv_distance
 from .streams import exp_inverse, stream
 
-__all__ = ["CriterionResult", "run_criterion", "json_report", "CRITERIA"]
+__all__ = ["CriterionResult", "run_criterion", "CRITERIA"]
 
 _CHUNKS = 64
 
@@ -51,6 +50,14 @@ def _map_chunks(fn, total: int, seed: int, *path) -> list:
 def _round6(x) -> float:
     """Stable summary rounding for report details."""
     return float(f"{float(x):.6g}")
+
+
+def _mean_test(values: np.ndarray, target: float) -> tuple:
+    """(z, passed) for the sample mean of values against target: z is
+    (mean - target)/se, and passed holds when the mean lies within 3 se."""
+    mean = float(values.mean())
+    se = float(values.std(ddof=1)) / math.sqrt(values.size)
+    return (mean - target) / se, abs(mean - target) <= 3 * se
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +401,9 @@ def c08_limit_stationarity(seed: int) -> CriterionResult:
     details = {}
     passed = True
     for k in range(1, 5):
-        mk = xi1 ** k
-        mean = float(mk.mean())
-        se = float(mk.std(ddof=1)) / math.sqrt(total)
-        z = (mean - math.factorial(k)) / se
+        z, ok = _mean_test(xi1 ** k, math.factorial(k))
         details[f"moment_{k}_z"] = _round6(z)
-        passed = passed and abs(mean - math.factorial(k)) <= 3 * se
+        passed = passed and ok
 
     rep = ks_one_sample(xi1, "exp1")
     details["ks_p"] = _round6(rep.p_value)
@@ -409,11 +413,9 @@ def c08_limit_stationarity(seed: int) -> CriterionResult:
         def cond(rng, size, x0=x0):
             return limit_chain.sample_limit_batch(np.full(size, x0), rng)
         draws = np.concatenate(_map_chunks(cond, total, seed, 8, 1 + idx))
-        mean = float(draws.mean())
-        se = float(draws.std(ddof=1)) / math.sqrt(total)
-        z = (mean - (x0 + 1.0) / 2.0) / se
+        z, ok = _mean_test(draws, (x0 + 1.0) / 2.0)
         details[f"drift_x{idx}_z"] = _round6(z)
-        passed = passed and abs(mean - (x0 + 1.0) / 2.0) <= 3 * se
+        passed = passed and ok
 
     return CriterionResult(8, "limit_stationarity", passed, details)
 
@@ -522,12 +524,10 @@ def c11_construction_equivalence(seed: int) -> CriterionResult:
         vals = np.concatenate(_map_chunks(
             functools.partial(_mrca_chunk, build), total, seed, 11, idx))
         samples[name] = vals
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1)) / math.sqrt(total)
-        z = (mean - _MRCA_MEAN) / se
-        details[f"mean_{name}"] = _round6(mean)
+        z, ok = _mean_test(vals, _MRCA_MEAN)
+        details[f"mean_{name}"] = _round6(vals.mean())
         details[f"z_{name}"] = _round6(z)
-        passed = passed and abs(mean - _MRCA_MEAN) <= 3 * se
+        passed = passed and ok
 
     names = list(_MRCA_ROUTES)
     for i in range(len(names)):
@@ -558,12 +558,3 @@ CRITERIA = {
 
 def run_criterion(number: int, seed: int) -> CriterionResult:
     return CRITERIA[number](seed)
-
-
-def json_report(results: list, seed: int) -> str:
-    payload = {
-        "seed": seed,
-        "criteria": [r.to_dict() for r in results],
-        "all_pass": all(r.passed for r in results),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

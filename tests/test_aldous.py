@@ -39,18 +39,22 @@ def test_stick_field_counts_and_lazy_extension():
     field = StickField(stream(1, 0))
     field.ensure_sticks(5)
     field.ensure_individuals(8)
-    assert len(field._sticks) == 5
-    assert len(field._individuals) == 8
+    assert len(field._sticks) >= 5
+    assert len(field._individuals) >= 8
     assert all(0.0 < x < 1.0 for x in field._sticks + field._individuals)
     locs = field._sticks + field._individuals
     assert len(set(locs)) == len(locs)
-    # extension past the initial counts keeps the prefix
-    before = list(field._sticks)
-    field.ensure_sticks(7)
-    assert len(field._sticks) == 7
-    assert field._sticks[:5] == before
-    field.ensure_individuals(9)
-    assert field._individuals[8] > 0.0
+    # extension past the values held keeps every one of them
+    for ensure, held in ((field.ensure_sticks, field._sticks),
+                         (field.ensure_individuals, field._individuals)):
+        before = list(held)
+        ensure(len(before) + 1)
+        assert len(held) > len(before)
+        assert held[:len(before)] == before
+        # a request the field already covers draws nothing
+        after = list(held)
+        ensure(len(before))
+        assert held == after
 
 
 _EDGE_COUNTS = (1, 31, 32, 33, 200)
@@ -62,9 +66,8 @@ def test_positions_follow_the_stream_layout_in_any_order():
     for ns in _EDGE_COUNTS:
         for ni in _EDGE_COUNTS:
             path = (20, ns, ni)
-            twin = stream(*path).random(2 * max(ns, ni)).tolist()
+            twin = stream(*path).random(2 * max(ns, ni) + 64).tolist()
             assert 0.0 not in twin and len(set(twin)) == len(twin)
-            want = (twin[0::2][:ns], twin[1::2][:ni])
 
             sticks_first = StickField(stream(*path))
             sticks_first.ensure_sticks(ns)
@@ -73,7 +76,11 @@ def test_positions_follow_the_stream_layout_in_any_order():
             indivs_first.ensure_individuals(ni)
             indivs_first.ensure_sticks(ns)
             for field in (sticks_first, indivs_first):
-                assert (field._sticks, field._individuals) == want
+                assert len(field._sticks) >= ns
+                assert len(field._individuals) >= ni
+                sticks, indivs = field._sticks, field._individuals
+                assert sticks == twin[0::2][:len(sticks)]
+                assert indivs == twin[1::2][:len(indivs)]
 
 
 class _ScriptedBlocks:
@@ -483,15 +490,17 @@ def test_identify_ra_against_sorted_board_off_block_caps(cap):
 
 def test_identify_ra_against_sorted_board_with_long_prefixes():
     # the field already holds more sticks and individuals than the chain
-    # plants, so identify_ra must read only the prefix it has planted
+    # plants, so identify_ra must read only the prefix it has planted,
+    # stop at caps below what the field holds and draw nothing more
     for i in range(100):
         field = StickField(stream(19, 7, i))
         field.ensure_sticks(200)
         field.ensure_individuals(400)
-        want = _planted_pairs(field._sticks, field._individuals, 3)
+        held = (list(field._sticks), list(field._individuals))
+        want = _planted_pairs(held[0][:200], held[1][:400], 3)
         got = identify_ra(field, 3, max_individuals=400, max_sticks=200)
         assert [(st.r, st.a) for st in got] == want
-        assert len(field._sticks) == 200 and len(field._individuals) == 400
+        assert (field._sticks, field._individuals) == held
 
 
 def test_identify_ra_shared_stream_chunk_pinned():
@@ -508,6 +517,24 @@ def test_identify_ra_shared_stream_chunk_pinned():
     assert h.hexdigest() == (
         "a11ecefe7a367b777a7d8db113c0187268fd660ced3cf406a82d4b4f540098eb")
     assert rng.random() == 0.35759182933944456
+
+
+def test_identify_ra_asks_for_individuals_half_a_block_at_a_time():
+    # stick 1 at 0.5; every individual lies left of it but individual 40,
+    # and the zero at stream value 3 is skipped, so the first block keeps
+    # 31 individuals and two blocks keep 63.  The hunt asks for 32, then
+    # for 64, which takes a third block: the blocks drawn follow the
+    # requests, whatever the field already holds
+    vals = [0.9 + k * 1e-4 if k % 2 == 0 else 0.1 + k * 1e-4
+            for k in range(256)]
+    vals[0] = 0.5
+    vals[3] = 0.0
+    vals[81] = 0.6  # individual 40: the kept ones are values 1, 5, 7, ...
+    field = StickField(_ScriptedBlocks([vals[k:k + 64]
+                                        for k in range(0, 256, 64)]))
+    pairs = identify_ra(field, 1)
+    assert [(st.r, st.a) for st in pairs] == [(1, 40)]
+    assert len(field._rng.blocks) == 1
 
 
 def test_identify_ra_rejects_caps_below_one():

@@ -324,6 +324,15 @@ def test_verify_single_criterion(capsys):
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_verify_report_bytes_pinned(capsys):
+    # criteria 2, 3 and 4 draw nothing, so their report pins the writer's
+    # bytes: key order, indentation, float formatting and the final newline
+    rc, out, _ = run_cli(capsys, "verify", "--criteria", "2,3,4")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1d0975ea2e35d120e63c037fcd6fc8589d01c31d6d63db0ba1c13f3fdfc82b7")
+
+
 @pytest.mark.parametrize("flag", [["--format", "csv"], ["--threads", "2"]],
                          ids=["format", "threads"])
 def test_verify_has_no_format_flag(flag):
