@@ -7,7 +7,9 @@ whose stationary law is Exp(1).  The damping factor U = exp(-eta) is
 uniform on (0, 1], and the sampler draws it as one.  Separately, the rank
 of a uniformly chosen lineage at the time the n-th individual arrives (the
 record value W_n) has an exact binomial-weight law with Gaussian-type bulk
-behaviour at scale sqrt(n).
+behaviour at scale sqrt(n).  It is the record chain's first rank step,
+taken from the empty state (r, a) = (0, n), so its float and log forms are
+ra_chain's rank-law kernels at r = 0.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import log_gamma_diff
+from .ra_chain import _log_r_tail, _rank_pmf
 from .streams import exp_inverse
 
 __all__ = [
@@ -87,26 +89,33 @@ class WnLaw:
         return Fraction(self.weights[k], self.normalizer)
 
     def pmf_float(self) -> np.ndarray:
-        """Whole pmf in doubles via the stable ratio recurrence
-        p(k) = (2k/n) * prod_{j<=k} (n-j+1)/(n+j), avoiding the huge
-        intermediate binomials."""
-        n = self.n
-        j = np.arange(1, n + 1, dtype=float)
-        ratio = np.concatenate([[1.0], np.cumprod((n - j + 1.0) / (n + j))])
-        k = np.arange(0, n + 1, dtype=float)
-        return (2.0 * k / n) * ratio
+        """Whole pmf in doubles for k = 0..n (see _wn_pmf_float)."""
+        return _wn_pmf_float(self.n)
+
+
+def _check_n(n):
+    """ValueError unless n is a whole number >= 1."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError("need a whole n >= 1")
+
+
+def _wn_pmf_float(n: int) -> np.ndarray:
+    """P(W_n = k) in doubles for k = 0..n, with no exact weights and no cap
+    on n: 0 at k = 0, then the rank law from (0, n),
+    (2k/(n+k)) prod_{j<k} (n-j)/(n+j), as one cumulative product."""
+    _check_n(n)
+    return np.concatenate(([0.0], _rank_pmf(0, n, n)))
 
 
 def wn_log_pmf(n: int, k) -> float | np.ndarray:
-    """log P(W_n = k) through one log-gamma difference kernel; works far
-    past the exact-weight range.  k = 0 or k outside 0..n gives -inf."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    """log P(W_n = k) as the rank law from (0, n): the log absorption
+    factor ln(2k/(n+k)) plus the log tail of the rank step, so it works far
+    past the exact-weight range.  k = 0 or k outside 0..n gives -inf;
+    ValueError unless n is a whole number >= 1."""
+    _check_n(n)
     k_arr = np.asarray(k, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # ln C(2n, n-k) - ln C(2n, n), then the k * 2/n prefactor
-        delta = log_gamma_diff(n + 1.0, k_arr, k_arr)
-        out = np.log(2.0 * k_arr / n) + delta
+        out = np.log(2.0 * k_arr / (n + k_arr)) + _log_r_tail(0, n, k_arr)
     out = np.where((k_arr < 1) | (k_arr > n), -np.inf, out)
     if np.ndim(k) == 0:
         return float(out)
@@ -119,13 +128,15 @@ def wn_local_limit_error(n: int, s_values) -> tuple:
     At k = floor(s sqrt(n)) the pmf should be close to 2s e^{-s^2} / sqrt(n).
     Returns (kept s values, relative errors); points whose floor lands
     outside 1..n are dropped: the approximation has nothing to say at
-    k = 0, and past n the pmf is 0.
+    k = 0, and past n the pmf is 0.  The whole pmf is read in doubles,
+    n + 1 of them, with no exact weights, so n has no cap beyond memory;
+    ValueError unless n is a whole number >= 1.
     """
+    pmf = _wn_pmf_float(n)
     s = np.asarray(s_values, dtype=float)
     k = np.floor(s * math.sqrt(n)).astype(int)
     keep = (k >= 1) & (k <= n)
     s, k = s[keep], k[keep]
-    pmf = WnLaw.build(n).pmf_float()
     # math.exp per point: numpy's exp loops round differently on CPUs
     # with and without AVX-512, so the output would depend on the CPU
     e = np.fromiter(map(math.exp, (-s * s).tolist()), float, s.size)

@@ -200,13 +200,19 @@ def _ratio_product(start, r, a, x):
     return acc
 
 
-def r_pmf_vector(r, a, max_x: int | None = None) -> np.ndarray:
-    """pmf over x = 1..min(a-r, max_x), via one cumulative product."""
-    _check_state(r, a)
-    width = a - r if max_x is None else min(a - r, max_x)
+def _rank_pmf(r, a, width) -> np.ndarray:
+    """pmf over x = 1..width, via one cumulative product, with no check of
+    (r, a): at r = 0, width = a = n it is the record-value law P(W_n = x)
+    of limit_chain, the rank step from the empty state."""
     survival = np.cumprod(_rank_terms(1.0, r, a, 1, width))
     x = np.arange(1, width + 1, dtype=float)
     return survival * (2.0 * r + 2.0 * x) / (a + r + x)
+
+
+def r_pmf_vector(r, a, max_x: int | None = None) -> np.ndarray:
+    """pmf over x = 1..min(a-r, max_x), via one cumulative product."""
+    _check_state(r, a)
+    return _rank_pmf(r, a, a - r if max_x is None else min(a - r, max_x))
 
 
 def r_tail_vector(r, a, max_x: int | None = None) -> np.ndarray:
@@ -239,7 +245,8 @@ def r_tail_exact(state: RAState, x) -> Fraction:
 
 
 def _log_r_tail(r, a, x):
-    """log of the rank-transition tail, stable for astronomically large a."""
+    """log of the rank-transition tail, stable for astronomically large a;
+    at r = 0 it is the log tail of the record-value law."""
     return log_gamma_diff(a - r, 2.0 * r + x, x - 1.0)
 
 

@@ -196,7 +196,8 @@ def extract_records(values, *, first_index=2, ranks=None,
     values[i] is the length of individual first_index + i.  A position is a
     record when its length beats everything later in the window; its rank is
     taken among all window values, largest first.  Output is invariant under
-    any strictly increasing transform of the values.
+    any strictly increasing transform of the values.  A NaN or a repeated
+    value has no rank, and raises ValueError.
 
     Validity horizon: with ground-truth global ranks supplied, pair i is
     certified when ranks 1..R_{i+1} are all attained inside the window, which
@@ -210,6 +211,8 @@ def extract_records(values, *, first_index=2, ranks=None,
     n_vals = len(vals)
     if n_vals == 0:
         raise ValueError("extract_records needs at least one value")
+    if any(v != v for v in vals):
+        raise ValueError("NaN length value")
     if len(set(vals)) != n_vals:
         raise ValueError("duplicate length values")
 

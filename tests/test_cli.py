@@ -60,9 +60,9 @@ def test_pebls_csv(capsys):
     (["limit", "--format", "json"],
      "0cea1fc4a72552701f2531d8c9a3b941a7626db8588ea49aec47861bf4ca97c0"),
     (["wn"],
-     "63a9c8cab5c5a5130d77928f37aab787691bffbc887001a47e2a14d51d7b0e99"),
+     "324debbed1d3508a9f70b16d9716754a79718c120333250ffa57c148120f211f"),
     (["wn", "--format", "json"],
-     "5fd7a02acf36b72a9aa311e2a872e38085fe5993bf5344034addf8d051f67188"),
+     "129b7a46e2f8da8fbe4e6165b7b680b2dbe96425a64c8a4153da7ebcffa57193"),
     (["pmf", "--r", "5", "--a", "40"],
      "ed486ff27eb6de721cb8157d4d21933e7687a8e2834308f546bec5d766a9e8cb"),
     (["pmf", "--r", "5", "--a", "40", "--format", "json"],

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from seqcoal.limit_chain import (WnLaw, rescaled_observables,
                                  sample_limit_batch, wn_local_limit_error,
                                  wn_log_pmf)
-from seqcoal.ra_chain import RAState, sample_paths_batch
+from seqcoal.ra_chain import RAState, sample_paths_batch, urn_oracle_r
 from seqcoal.stats import ks_one_sample
 from seqcoal.streams import exp_inverse, stream
 
@@ -125,6 +126,26 @@ def test_wn_pmf_float_matches_exact():
     assert floats.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_wn_law_is_the_rank_law_from_the_empty_state():
+    # P(W_n = x) = (2x/(n+x)) prod_{k<x} (n-k)/(n+k): the rank law's product
+    # form at (r, a) = (0, n), the state before the first record
+    for n in range(1, 201):
+        law = WnLaw.build(n)
+        assert law.pmf_exact(0) == 0
+        tail = Fraction(1)
+        for x in range(1, n + 1):
+            assert law.pmf_exact(x) == Fraction(2 * x, n + x) * tail
+            tail *= Fraction(n - x, n + x)
+
+
+def test_wn_law_is_the_urn_at_rank_zero():
+    # RAState rejects r = 0, so a stand-in carries the empty state
+    for n in range(1, 13):
+        law = WnLaw.build(n)
+        probs = urn_oracle_r(SimpleNamespace(r=0, a=n))
+        assert probs == [law.pmf_exact(x) for x in range(1, n + 1)]
+
+
 def test_wn_log_pmf_matches_float_pmf():
     n = 1000
     law = WnLaw.build(n)
@@ -139,8 +160,8 @@ def test_wn_log_pmf_matches_float_pmf():
 
 
 def test_wn_log_pmf_against_mpmath_far_past_exact_weights():
-    # log C(2n, n-k) - log C(2n, n) is one fused log-gamma difference, so the
-    # bulk k ~ sqrt(n) keeps its digits at any n
+    # the log tail of the rank step from (0, n) is one fused log-gamma
+    # difference, so the bulk k ~ sqrt(n) keeps its digits at any n
     mpmath = pytest.importorskip("mpmath")
     for e in range(2, 21):
         n = 10**e
@@ -163,8 +184,19 @@ def test_wn_log_pmf_support_and_scalar():
     assert isinstance(v, float)
     exact = float(WnLaw.build(10).pmf_exact(4))
     assert v == pytest.approx(math.log(exact), rel=1e-12)
-    with pytest.raises(ValueError):
-        wn_log_pmf(0, 1)
+    for n in (0, 2.5, math.nan):
+        with pytest.raises(ValueError):
+            wn_log_pmf(n, 1)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_wn_local_limit_error_past_exact_weights(n):
+    # c07's grid past the exact-weight cap: the bulk error falls as
+    # 1/sqrt(n), with sup|rel| sqrt(n) about 4.2, 4.4 and 3.5 at n = 1e4,
+    # 1e5 and 1e6
+    _, rel = wn_local_limit_error(n, np.linspace(0.2, 2.0, 3601))
+    assert np.all(np.isfinite(rel))
+    assert np.abs(rel).max() * math.sqrt(n) < 5.0
 
 
 def test_wn_local_limit_error_shape():
@@ -177,6 +209,9 @@ def test_wn_local_limit_error_shape():
     # floor(2.5 * 2) = 5 lies past n = 4, where the pmf is 0: dropped too
     kept, rel = wn_local_limit_error(4, [2.5, 1.0])
     assert kept.tolist() == [1.0] and rel.shape == (1,)
+    for n in (0, 2.5, math.nan):
+        with pytest.raises(ValueError):
+            wn_local_limit_error(n, s)
 
 
 def conditional_wn(n: int, k: int) -> dict:

@@ -148,6 +148,17 @@ def test_extract_records_rejects_ties():
         extract_records([1.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("vals", [[5.0, math.nan, 4.0, 2.0], [math.nan, math.nan],
+                                  [float("nan"), float("nan")], [math.nan],
+                                  [1.0, float("nan")]])
+def test_extract_records_rejects_nan(vals):
+    # a NaN compares false with everything, so it would take some rank and
+    # shift the ranks of the values around it; two distinct NaN objects
+    # also pass the duplicate check
+    with pytest.raises(ValueError, match="NaN"):
+        extract_records(vals)
+
+
 def test_extract_records_rejects_non_positive_gamma():
     # the horizon N / gamma: gamma = 0 would divide by zero, and a negative
     # gamma would certify no pair
