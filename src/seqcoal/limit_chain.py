@@ -68,8 +68,8 @@ class WnLaw:
 
     @classmethod
     def build(cls, n: int) -> "WnLaw":
-        if n < 1:
-            raise ValueError("need n >= 1")
+        _check_n(n)
+        n = int(n)
         if n > _EXACT_WN_LIMIT:
             raise ValueError(
                 f"exact weights capped at n = {_EXACT_WN_LIMIT}; "

@@ -6,9 +6,10 @@ a - r >= 1 always.  Closed-form pmfs and tails are available in two algebraic
 forms, with independent urn-process oracles in exact rational arithmetic for
 cross-checking, and exact inverse-CDF samplers.
 
-Scalar law evaluation takes an RAState; the bulk kernels (the _vector and
-_batch functions) take raw (r, a) coordinates so callers can tabulate without
-building state objects in a loop.
+Scalar law evaluation takes an RAState, which stores Python ints, so it
+computes on exact integers; the bulk kernels (the _vector and _batch
+functions) take raw (r, a) coordinates, whole floats included, so callers
+can tabulate without building state objects in a loop.
 """
 
 from __future__ import annotations
@@ -78,15 +79,16 @@ _WHOLE = (int, np.integer)
 
 @dataclass
 class RAState:
-    """One record: rank r of the record length, position a of its holder.
-
-    ValueError unless it is a state of the chain (see _check_state)."""
+    """One record: rank r of the record length, position a of its holder,
+    stored as Python ints.  ValueError unless it is a state of the chain
+    (see _check_state)."""
 
     r: int
     a: int
 
     def __post_init__(self):
         _check_state(self.r, self.a)
+        self.r, self.a = int(self.r), int(self.a)
 
 
 def _check_state(r, a):
@@ -184,8 +186,7 @@ def _ratio_product(start, r, a, x):
     an exact double, and numpy rounds the same divisions and the same
     multiplies, in the same order, as the loop, so the value is the loop's
     to the bit.  Elsewhere the loop runs, with a - r and a + r hoisted:
-    short products, integers past 2^53 (whose a-r-k is exact only as an
-    integer) and the float continuation.
+    short products, and integers past 2^53, where only integer a-r-k is exact.
     """
     if x > _CUMPROD_MIN and a + r + x < _EXACT_DOUBLE:
         acc = start
@@ -209,17 +210,25 @@ def _rank_pmf(r, a, width) -> np.ndarray:
     return survival * (2.0 * r + 2.0 * x) / (a + r + x)
 
 
+def _whole_size(name, size) -> int:
+    """size as an int; ValueError unless it is a whole number >= 0."""
+    if not (size >= 0 and float(size).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= 0")
+    return int(size)
+
+
 def r_pmf_vector(r, a, max_x: int | None = None) -> np.ndarray:
     """pmf over x = 1..min(a-r, max_x), via one cumulative product."""
     _check_state(r, a)
-    return _rank_pmf(r, a, a - r if max_x is None else min(a - r, max_x))
+    width = a - r if max_x is None else min(a - r, _whole_size("max_x", max_x))
+    return _rank_pmf(r, a, width)
 
 
 def r_tail_vector(r, a, max_x: int | None = None) -> np.ndarray:
     """Tails for x = 1..min(a-r, max_x)+1, by the cumulative product of
     r_tail; over the full support the final entry is exactly 0."""
     _check_state(r, a)
-    width = a - r if max_x is None else min(a - r, max_x)
+    width = a - r if max_x is None else min(a - r, _whole_size("max_x", max_x))
     return np.cumprod(_rank_terms(1.0, r, a, 1, width + 1))
 
 
@@ -392,16 +401,12 @@ def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
     _invert_rank runs on one lane, usually with one log tail evaluation; the
     log tail is good to a few ulps up to a = 1e300, so the draw is exact
     unless u lies within that rounding of a tail value.  Past 2^53 it
-    searches over float-representable x only.  A position above 1e300, or a
-    float rank that r + x rounds back to r (x below the spacing of floats
-    at r), raises OverflowError.
+    searches over float-representable x only, and r + x is the exact
+    integer sum.  A position above 1e300 raises OverflowError.
     """
     r, a = state.r, state.a
     u = nonzero_uniform(rng)
     max_x = a - r
-    if max_x == 1:
-        return r + 1
-
     if a <= _SCAN_LIMIT:
         tail = 1.0
         x = 1
@@ -415,12 +420,7 @@ def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
     x = _invert_rank(np.array([float(r)]), np.array([float(a)]),
                      np.array([math.log(u)]))
     # past 2^53, float(a) - float(r) can round above the exact a - r
-    r_next = r + min(int(x[0]), max_x)
-    if r_next == r:
-        raise OverflowError(
-            f"the rank stalled at {r:g}: r + x rounds back to r in the "
-            "floating-point continuation of the record chain")
-    return r_next
+    return r + min(int(x[0]), max_x)
 
 
 def sample_r_next_batch(r, a, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -480,6 +480,7 @@ def a_pmf_vector(r, a, r_next, max_y: int) -> np.ndarray:
     double takes it from the exact integers c + y.
     """
     _check_rank_step(RAState(r, a), r_next)
+    max_y = _whole_size("max_y", max_y)
     c = a + r_next
     if isinstance(c, _WHOLE) and float(c) != c:
         cy = (np.arange(1, max_y + 1, dtype=object) + int(c)).astype(float)
@@ -514,12 +515,11 @@ def a_tail_exact(state: RAState, r_next, y) -> Fraction:
 
 
 def sample_a_next(state: RAState, r_next, rng: np.random.Generator):
-    """Exact draw of the next position: a + floor(c(1-u)/u) + 1.
+    """Exact draw of the next position, an int: a + floor(c(1-u)/u) + 1.
 
-    The closed form inverts the tail c/(c+y-1).  Integer inputs give an
-    integer result; a draw whose intermediate overflows floating point
-    (u below roughly c/1e308) is redrawn.  A position above 1e300 raises
-    OverflowError.
+    The closed form inverts the tail c/(c+y-1); a draw whose intermediate
+    overflows floating point (u below roughly c/1e308) is redrawn.  A
+    position above 1e300 raises OverflowError.
     """
     _check_rank_step(state, r_next)
     a = state.a
@@ -531,9 +531,7 @@ def sample_a_next(state: RAState, r_next, rng: np.random.Generator):
         z = float(c) * (1.0 - u) / u
         if math.isfinite(z):
             break
-    if isinstance(a, _WHOLE):
-        return a + int(z) + 1
-    return a + math.floor(z) + 1.0
+    return a + int(z) + 1
 
 
 @np.errstate(over="ignore")
@@ -566,19 +564,19 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     """Advance many record paths in lockstep; returns (R, A) float arrays of
     shape (steps+1, num_paths).
 
-    Intended for statistical verification at scale: state values are floats
-    (exact as integers up to 2^53, the double-precision continuation beyond),
-    and the rank step is the guided inversion on log-gamma tails for every a,
-    with no sequential scan; it follows the chain's law up to a = 1e300.
-    Per step it draws one uniform array for ranks, then one for positions
-    (_position_offsets).  Uniforms equal to 0 are redrawn, and so is every
-    position uniform whose offset c(1-u)/u overflows, as in sample_a_next.
-    A position above 1e300, at the start or after some step, raises
-    OverflowError; ln A grows by about 1 per step, so from a small start
-    that takes about 690 steps.  So does a step at which some lane's rank
-    stalls, r + x rounding back to r:
-    that needs x below the spacing of floats at r, which from a small start
-    has probability about 2^-51 per lane-step, but is certain from, say,
+    Intended for statistical verification at scale, it is the chain's one
+    floating-point continuation: state values are floats (exact as integers
+    up to 2^53, double precision beyond), and the rank step is the guided
+    inversion on log-gamma tails for every a, with no sequential scan; it
+    follows the chain's law up to a = 1e300.  Per step it draws one uniform
+    array for ranks, then one for positions (_position_offsets).  Uniforms
+    equal to 0 are redrawn, and so is every position uniform whose offset
+    c(1-u)/u overflows, as in sample_a_next.  A position above 1e300, at
+    the start or after some step, raises OverflowError; ln A grows by about
+    1 per step, so from a small start that takes about 690 steps.  So does
+    a step at which some lane's rank stalls, r + x rounding back to r: that
+    needs x below the spacing of floats at r, which from a small start has
+    probability about 2^-51 per lane-step, but is certain from, say,
     (1e20, 1e22).  The start must be a state of the chain: ValueError
     unless both coordinates are whole numbers, r >= 1 and a - r >= 1.
     """

@@ -190,6 +190,16 @@ def test_partition_at_time_zero_is_singletons():
     assert p == [frozenset({i}) for i in range(1, 8)]
 
 
+def test_partition_at_and_identify_ra_reject_bad_sizes():
+    for t, n, message in ((-1.0, 3, "finite time"), (math.inf, 3, "finite time"),
+                          (math.nan, 3, "finite time"), (1.0, 0, "n >= 1")):
+        with pytest.raises(ValueError, match=message):
+            partition_at(_figure_field(), t, n)
+    for max_pairs in (0, -2):
+        with pytest.raises(ValueError, match="max_pairs"):
+            identify_ra(StickField(stream(1, 0)), max_pairs)
+
+
 def test_partition_at_figure_configuration():
     p = partition_at(_figure_field(), 1.0, 7)
     # sorted by block minimum

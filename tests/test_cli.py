@@ -55,6 +55,10 @@ def test_pebls_csv(capsys):
      "3ab4cf9a71673a4c4b312cecdfcf7beec0d43173557d9767997a4c04642ec7b8"),
     (["ra-sample", "--format", "json"],
      "64fbec61796be239fc560ec4addc0eda0e8e99b7c99d0f4e02dbfb2d07048e8c"),
+    (["ra-extract"],
+     "b5bc73b55023a0fc4e7dc9a4eaf3c3ff71b5ee00a75611b62ab42820b714540b"),
+    (["ra-extract", "--format", "json"],
+     "300be2721afb4d71911f07f05bdeb8e000fc1e54ba1326099b29c770fd4f4752"),
     (["limit"],
      "f9a83be08d1e93be6d4bfa875cfb23f457929a9e80e1e85b925bafb25cdc1c85"),
     (["limit", "--format", "json"],
@@ -72,9 +76,9 @@ def test_pebls_csv(capsys):
     (["pmf", "--r", "5", "--a", "40", "--kind", "position", "--format", "json"],
      "4039e8b72eda3a67d05826541a887000d448f03682eeae7ddfc62e6fd0d8ae5a"),
 ], ids=["simulate-csv", "pebls-csv", "simulate-json", "pebls-json",
-        "ra-sample-csv", "ra-sample-json", "limit-csv", "limit-json",
-        "wn-csv", "wn-json", "pmf-rank-csv", "pmf-rank-json",
-        "pmf-position-csv", "pmf-position-json"])
+        "ra-sample-csv", "ra-sample-json", "ra-extract-csv", "ra-extract-json",
+        "limit-csv", "limit-json", "wn-csv", "wn-json", "pmf-rank-csv",
+        "pmf-rank-json", "pmf-position-csv", "pmf-position-json"])
 def test_default_output_bytes_pinned(capsys, argv, digest):
     # sha256 of stdout at the default flags: any change to a draw, to the
     # trajectory lists or to the writers breaks it.  ra-sample writes

@@ -14,6 +14,7 @@ from seqcoal.kingman import (PeblsSequence, Trajectory, TrajectoryEvent,
                              simulate_kingman, time_to_mrca)
 from seqcoal.stats import chi2_gof, chi2_two_sample, ks_one_sample
 from seqcoal.streams import stream
+from test_ra_chain import ScriptedRNG
 
 
 def _partition_at(traj: Trajectory, t: float) -> list:
@@ -286,6 +287,65 @@ def test_trajectory_rejects_bad_labels():
     assert traj.is_complete
     assert _partition_at(traj, 0.7) == [frozenset({1}), frozenset({2, 3})]
     assert len(_partition_at(traj, 1.0)) == 1
+
+
+def test_trajectory_and_pebls_reject_malformed_input():
+    ev = TrajectoryEvent
+    with pytest.raises(ValueError, match="at least one individual"):
+        Trajectory(0)
+    with pytest.raises(ValueError, match="more events"):
+        Trajectory(2, [ev(0.5, 1, 2), ev(1.0, 1, 2)])
+    # a NaN time fails the order check; an infinite one the finiteness check
+    for times, message in (((1.0, 1.0), "strictly increasing"),
+                           ((0.5, math.nan), "strictly increasing"),
+                           ((0.5, math.inf), "non-finite")):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(3, [ev(times[0], 1, 2), ev(times[1], 1, 3)])
+    traj = Trajectory(3, [ev(0.5, 1, 2), ev(1.0, 1, 3)])
+    traj.block_b.pop()
+    with pytest.raises(ValueError, match="differ in length"):
+        traj.validate()
+    for n_max, lengths, message in ((0, [], "n_max"), (3, [0.5], "one length"),
+                                    (2, [math.inf], "finite and positive"),
+                                    (2, [0.0], "finite and positive"),
+                                    (3, [0.5, 0.5], "duplicate")):
+        with pytest.raises(ValueError, match=message):
+            PeblsSequence(n_max, lengths)
+
+
+def test_builders_reject_empty_and_incomplete_trajectories():
+    for build in (simulate_kingman, build_pebls):
+        with pytest.raises(ValueError, match=">= 1|at least one"):
+            build(0, stream(37, 0))
+    partial = Trajectory(3, [TrajectoryEvent(0.5, 1, 2)])
+    for use in (lambda t: extend_recursive(t, stream(37, 1)), time_to_mrca):
+        with pytest.raises(ValueError, match="not complete"):
+            use(partial)
+
+
+def test_simulate_redraws_a_tied_event_time():
+    # the first holding time -ln(0.001)/3 = 2.30 puts t where floats are
+    # 4.4e-16 apart; a u_hold of 1 - 2^-53 then adds 1.1e-16 / 1, which
+    # rounds back to t, so the second time is redrawn from u = 0.5
+    u_top = 1.0 - 2.0**-53
+    rng = ScriptedRNG([0.001, 0.1, 0.2, u_top, 0.3, 0.4, 0.5])
+    traj = simulate_kingman(3, rng)
+    t1 = -math.log(0.001) / 3.0
+    assert t1 - math.log(u_top) == t1
+    assert traj.times == [t1, t1 - math.log(0.5)]
+    assert rng.values == []
+
+
+def test_build_pebls_redraws_a_tied_length():
+    # individual 2 gets length ln 2; at the hazard -ln 0.25 = 2 ln 2, two
+    # blocks up to ln 2 bring individual 3 to exactly ln 2, a tie, so its
+    # length is redrawn from u = 0.75: hazard 0.288 at slope 2
+    rng = ScriptedRNG([0.5, 0.3, 0.25, 0.6, 0.75])
+    pebls, traj = build_pebls(3, rng)
+    assert -math.log(0.25) == 2.0 * -math.log(0.5)
+    assert pebls.lengths == [-math.log(0.5), -math.log(0.75) / 2.0]
+    assert rng.values == []
+    traj.validate()
 
 
 def _builder_outputs(n, seed):

@@ -115,6 +115,11 @@ def test_wn_build_guards():
         WnLaw.build(0)
     with pytest.raises(ValueError):
         WnLaw.build(10**4 + 1)
+    # the whole-number rule of wn_log_pmf: a whole float builds the int law
+    with pytest.raises(ValueError, match="whole n"):
+        WnLaw.build(2.5)
+    law = WnLaw.build(100.0)
+    assert type(law.n) is int and law == WnLaw.build(100)
 
 
 def test_wn_pmf_float_matches_exact():

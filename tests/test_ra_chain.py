@@ -40,14 +40,61 @@ def test_state_validation():
         RAState(0, 5)
     with pytest.raises(ValueError):
         RAState(3, 3)
-    # whole numbers only: ints of any size and integral floats pass
-    RAState(1, 10**40)
-    RAState(np.int64(2), np.int64(9))
-    RAState(1.0, 1e307)
+    # whole numbers only: ints of any size, numpy integers and integral
+    # floats pass, and the state stores each coordinate as a Python int
+    for r, a in ((1, 10**40), (np.int64(2), np.int64(9)), (1.0, 1e307)):
+        st = RAState(r, a)
+        assert (st.r, st.a) == (int(r), int(a))
+        assert type(st.r) is int and type(st.a) is int
+    assert RAState(1.0, 5.0).a == 5
     # (the float-continuation test builds (1.0, inf) and (1.0, nan))
     for r, a in ((1, 2.5), (1.5, 3), (math.nan, 5), (1, -math.inf)):
         with pytest.raises(ValueError):
             RAState(r, a)
+
+
+def _types(value):
+    """The Python type of value, and of each entry of a list or tuple."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [_types(v) for v in value]
+    return type(value)
+
+
+# Every scalar entry point at a small state, and at (1000, 10^7) the rank
+# law's np.cumprod path and sample_r_next's guided inversion
+_SCALAR_CALLS = [
+    ("r_pmf", (1, 5), lambda st: r_pmf(st, 2)),
+    ("r_pmf_binomial", (1, 5), lambda st: r_pmf(st, 2, form="binomial")),
+    ("r_tail", (1, 5), lambda st: r_tail(st, 3)),
+    ("r_pmf_exact", (1, 5), lambda st: r_pmf_exact(st, 2)),
+    ("r_tail_exact", (1, 5), lambda st: r_tail_exact(st, 3)),
+    ("a_pmf", (1, 5), lambda st: a_pmf(st, 3, 2)),
+    ("a_tail", (1, 5), lambda st: a_tail(st, 3, 2)),
+    ("a_pmf_exact", (1, 5), lambda st: a_pmf_exact(st, 3, 2)),
+    ("a_tail_exact", (1, 5), lambda st: a_tail_exact(st, 3, 2)),
+    ("urn_oracle_r", (1, 5), urn_oracle_r),
+    ("urn_oracle_a", (1, 5), lambda st: urn_oracle_a(st, 3, 4)),
+    ("sample_r_next", (1, 5), lambda st: sample_r_next(st, stream(29, 0))),
+    ("sample_a_next", (1, 5), lambda st: sample_a_next(st, 3, stream(29, 1))),
+    ("r_pmf", (1000, 10**7), lambda st: r_pmf(st, 500)),
+    ("r_tail", (1000, 10**7), lambda st: r_tail(st, 500)),
+    ("sample_r_next", (1000, 10**7),
+     lambda st: sample_r_next(st, stream(29, 2))),
+]
+
+
+@pytest.mark.parametrize("state,call", [c[1:] for c in _SCALAR_CALLS],
+                         ids=[f"{n}-{r}-{a}" for n, (r, a), _ in _SCALAR_CALLS])
+def test_scalar_api_is_exact_integer(state, call):
+    # RAState stores Python ints, so a state given as ints, as np.int64 or
+    # as integral floats gives each scalar law, oracle and sampler the same
+    # value of the same Python type
+    r, a = state
+    want = call(RAState(r, a))
+    for st in (RAState(np.int64(r), np.int64(a)), RAState(float(r), float(a))):
+        got = call(st)
+        assert got == want
+        assert _types(got) == _types(want)
 
 
 # --- the first record -------------------------------------------------------
@@ -163,6 +210,24 @@ def test_r_vector_forms_match_scalars():
     assert r_tail_vector(r, a, max_x=5).shape == (6,)
 
 
+def test_vector_kernels_take_whole_sizes_only():
+    kernels = (lambda m: r_pmf_vector(1, 5, max_x=m),
+               lambda m: r_tail_vector(1, 5, max_x=m),
+               lambda m: a_pmf_vector(1, 5, 2, m))
+    for kernel in kernels:
+        for bad in (2.5, -1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="whole number >= 0"):
+                kernel(bad)
+        assert kernel(3.0).tolist() == kernel(3).tolist()
+    # a size of 0 leaves no pmf entries, and the tail at x = 1 alone
+    assert r_pmf_vector(1, 5, max_x=0).size == 0
+    assert r_tail_vector(1, 5, max_x=0).tolist() == [1.0]
+    assert a_pmf_vector(1, 5, 2, 0).size == 0
+    # the rank tabulation refuses a support it would not fit in memory
+    with pytest.raises(ValueError, match="too wide to tabulate"):
+        sample_r_next_batch(1, 10**7 + 2, stream(29, 3), 1)
+
+
 def test_log_tail_matches_exact_recursion():
     r, a, x = 123, 10**7, 500
     want = r_tail_exact(RAState(r, a), x)
@@ -181,6 +246,7 @@ def _loop_product(start, r, a, x):
 
 def _assert_products_match_loop(r, a, xs):
     st = RAState(r, a)
+    r, a = st.r, st.a  # the state's own coordinates, Python ints
     for x in xs:
         assert r_tail(st, x) == _loop_product(1.0, r, a, x)
         pmf_start = (2.0 * r + 2.0 * x) / (a + r + x)
@@ -206,8 +272,8 @@ def test_rank_products_match_the_loop_bit_for_bit(monkeypatch, cutoff):
         _assert_products_match_loop(r, a, [2, m, m + 1, m + 2, a - r])
     # a product that spans several np.cumprod blocks
     _assert_products_match_loop(300, 10**9, [2 * ra_chain._CUMPROD_BLOCK + 5])
-    # integers past 2^53, exact only in integer arithmetic, and float states
-    # of the continuation and below it
+    # integers past 2^53, exact only in integer arithmetic, and states given
+    # as floats past 2^53 and below it, which multiply exact integer ratios
     _assert_products_match_loop(5, 2**60, [2, 100, 3000])
     _assert_products_match_loop(2**53 - 200, 2**53 - 3, [2, 150, 197])
     _assert_products_match_loop(1e9, 1e20, [2, 100, 3000])
@@ -593,9 +659,9 @@ def test_a_pmf_vector_matches_the_closed_form_bit_for_bit(c):
     prior = RAState(1, c - r_next)
     want = [a_pmf(prior, r_next, y, form="closed") for y in range(1, 2001)]
     assert a_pmf_vector(1, c - r_next, r_next, 2000).tolist() == want
-    # a float position rounds c + y as the float sum
-    fprior = RAState(1.0, float(c))
-    want = [a_pmf(fprior, 2, y, form="closed") for y in range(1, 2001)]
+    # the raw kernel on a float position rounds c + y as the float sum
+    cf = float(c) + 2.0
+    want = [cf / ((cf + y - 1.0) * (cf + y)) for y in range(1, 2001)]
     assert a_pmf_vector(1.0, float(c), 2, 2000).tolist() == want
 
 
@@ -771,16 +837,19 @@ def test_float_continuation_stops_at_its_limit(monkeypatch):
 
 
 def test_stalled_rank_raises():
-    # past 2^53 an x below ulp(r) gives r + x == r; the chain stops there
-    # instead of repeating R.  From r = 1e20 (ulp 16384) and a = 1e22 the
-    # rank moves by about 50 |ln u|, so every lane stalls at once
+    # past 2^53 an x below ulp(r) gives r + x == r in floats; the lockstep
+    # chain stops there instead of repeating R.  From r = 1e20 (ulp 16384)
+    # and a = 1e22 the rank moves by about 50 |ln u|, so every lane stalls
+    # at once
     start = (1e20, 1e22)
     with pytest.raises(OverflowError, match="rank stalled at step 1:"):
         sample_paths_batch(20, 200, stream(3, 0), start=start)
-    with pytest.raises(OverflowError, match="rank stalled at 1e\\+20:"):
-        sample_r_next(RAState(*start), stream(3, 0))
-    with pytest.raises(OverflowError, match="rank stalled at"):
-        sample_r_next(RAState(1e40, 1e42), ScriptedRNG([0.5]))
+    # the scalar sampler holds the state as ints, so r + x is exact and the
+    # rank moves by at least 1
+    for st, rng in ((RAState(*start), stream(3, 0)),
+                    (RAState(1e40, 1e42), ScriptedRNG([0.5]))):
+        r_next = sample_r_next(st, rng)
+        assert type(r_next) is int and r_next >= st.r + 1
     # from (1, 2) an x below ulp(r) has probability about 2^-51 per
     # lane-step, so 200 steps raise every rank
     R, A = sample_paths_batch(20, 200, stream(3, 0))

@@ -91,6 +91,33 @@ def test_chi2_gof_rejects_bad_probs():
         chi2_gof([10, 10], [0.5, 0.4])
 
 
+def test_statistics_reject_empty_misaligned_or_thin_input():
+    with pytest.raises(ValueError, match="at least one sample"):
+        ks_one_sample([], "exp1")
+    for first, second in (([], [1.0]), ([1.0], [])):
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_two_sample(first, second)
+    with pytest.raises(ValueError, match="align"):
+        chi2_gof([1, 2, 3], [0.5, 0.5])
+    with pytest.raises(ValueError, match="positive total"):
+        chi2_gof([0, 0], [0.5, 0.5])
+    # 2 expected counts in all: no bin reaches 5, so the merge emits the
+    # whole remainder as one bin, and one bin leaves no test
+    with pytest.raises(ValueError, match="fewer than two bins"):
+        chi2_gof([1, 1], [0.5, 0.5])
+    with pytest.raises(ValueError, match="align"):
+        chi2_two_sample([1, 2, 3], [1, 2])
+    for ca, cb in (([0, 0], [3, 4]), ([3, 4], [0, 0])):
+        with pytest.raises(ValueError, match="non-empty"):
+            chi2_two_sample(ca, cb)
+    with pytest.raises(ValueError, match="fewer than two bins"):
+        chi2_two_sample([1, 1], [1, 1])
+    with pytest.raises(ValueError, match="at least one value"):
+        extract_records([])
+    with pytest.raises(ValueError, match="align"):
+        extract_records([3.0, 2.0, 1.0], ranks=[1, 2])
+
+
 def test_chi2_gof_detects_skew():
     rep = chi2_gof([900, 100], [0.5, 0.5])
     assert not rep.passed
@@ -195,3 +222,8 @@ def test_extract_records_position_horizon_heuristic():
     kept = [p for p in ext.pairs if p[1] <= horizon]
     assert ext.valid == len(kept)
     assert isinstance(ext, RecordExtraction)
+    # a hand window with a pair inside the horizon: positions 2..5 give
+    # the horizon 5/2, which keeps the record at 2 and stops at the one at 5
+    ext = extract_records([5.0, 1.0, 2.0, 3.0], gamma=2.0)
+    assert ext.pairs == [(1, 2), (2, 5)]
+    assert ext.valid == 1
