@@ -2,10 +2,13 @@
 
 A trajectory for n individuals is the full merge history: n - 1 events, each
 merging two blocks at an exponential holding time.  Individuals can be added
-one at a time: the waiting length of the next individual has hazard equal to
-the current block count, so its cumulative hazard is piecewise linear and is
-inverted exactly.  The per-individual lengths collected along the way form a
-length sequence from which the whole trajectory can be rebuilt.
+one at a time, and one loop adds them for every sequential builder: the
+waiting length of the next individual has hazard equal to the current block
+count, so its cumulative hazard is piecewise linear and is inverted exactly,
+and the individual merges at that length into a uniform block of the
+partition just before it.  The per-individual lengths collected along the
+way form a length sequence from which the whole trajectory can be rebuilt
+by the same loop's merge alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import nonzero_uniform
+from .streams import _nonzero_list, nonzero_uniform
 
 __all__ = [
     "TrajectoryEvent",
@@ -131,20 +134,20 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
     """Simulate the n-individual coalescent directly.
 
     With b blocks the holding time is exponential with rate b(b-1)/2 and the
-    merging pair is uniform among blocks.  One block of n - 1 rows of
-    uniforms (u_hold, u_i, u_j) is drawn up front: the holding time is
-    -ln(u_hold)/rate, and the pair is i = floor(u_i b) and j = floor(u_j (b-1))
-    stepped past i.  An exact floating tie with the previous event time
-    (possible only by underflow) is redrawn from the generator after the
-    block.
+    merging pair is uniform among blocks.  One flat block of 3(n - 1)
+    uniforms on (0, 1) is drawn up front and read three at a time
+    (u_hold, u_i, u_j): the holding time is -ln(u_hold)/rate, and the pair
+    is i = floor(u_i b) and j = floor(u_j (b-1)) stepped past i.  An exact
+    floating tie with the previous event time (possible only by underflow)
+    is redrawn from the generator after the block.
     """
     if n < 1:
         raise ValueError("need at least one individual")
     roots = list(range(1, n + 1))  # live block labels, ascending
     t = 0.0
     times, block_a, block_b = [], [], []
-    rows = nonzero_uniform(rng, (n - 1, 3)).tolist()
-    for b, (u_hold, u_i, u_j) in zip(range(n, 1, -1), rows):
+    block = iter(_nonzero_list(rng, 3 * (n - 1)))
+    for b, u_hold, u_i, u_j in zip(range(n, 1, -1), block, block, block):
         rate = b * (b - 1) / 2.0
         t_next = t - math.log(u_hold) / rate
         while t_next == t:
@@ -163,86 +166,97 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
                     block_b=block_b)
 
 
-def _invert_hazard(times: list, n: int, target: float) -> float:
-    """Time at which the cumulative hazard reaches target > 0, for n
-    individuals and sorted event times.  The hazard is piecewise linear with
-    slope equal to the block count, which ends at 1; the scan stops at the
-    first segment whose end reaches target and inverts it there."""
-    total, prev, count = 0.0, 0.0, n
-    for t in times:
-        seg = count * (t - prev)
-        if total + seg >= target:
-            break
-        total += seg
-        prev = t
-        count -= 1
-    return prev + (target - total) / count
+def _add_individuals(times: list, block_a: list, block_b: list, n: int,
+                     us: list, lengths: list, rng=None):
+    """Add individuals n + 1, n + 2, ... to the sorted event lists, in place.
 
+    With rng, `us` holds (u_length, u_partner) for each individual, flat,
+    and each length is drawn and appended to `lengths`.  The cumulative
+    hazard is piecewise linear with slope equal to the block count, which
+    ends at 1; the scan inverts it at -ln(u_length) on the first segment
+    whose end reaches that target.  A length that ties an event time is
+    redrawn with a fresh uniform from rng.  Without rng, `us` holds one
+    u_partner per individual and `lengths` gives their lengths in order.
 
-def _draw_length(times: list, n: int, u: float,
-                 rng: np.random.Generator) -> float:
-    """Length of individual n + 1 at the hazard -ln(u); a length that ties
-    an event time is redrawn with a fresh uniform from rng."""
-    while True:
-        length = _invert_hazard(times, n, -math.log(u))
-        pos = bisect_left(times, length)
-        if pos == len(times) or times[pos] != length:
-            return length
-        u = nonzero_uniform(rng)
-
-
-def _merge(times: list, block_a: list, block_b: list, n: int, length: float,
-           u: float):
-    """Merge individual n + 1 at L, in place, into a uniform block just before
-    L: with m = n - pos live labels there, the k-th one for k = floor(u m),
-    which is k + 1 stepped past the labels retired by then.  For u in
-    [0, 1) and m < 2^53, u m rounds below m, so k < m."""
-    pos = bisect_left(times, length)
-    label = int(u * (n - pos)) + 1
-    for b in sorted(block_b[:pos]):
-        if b > label:
-            break
-        label += 1
-    times.insert(pos, length)
-    block_a.insert(pos, label)
-    block_b.insert(pos, n + 1)
+    The merge at length L goes into a uniform block just before L: with
+    pos events before L there are m = n - pos live labels, and the k-th
+    one for k = floor(u_partner m) is k + 1 stepped past the labels retired
+    by then.  For u in [0, 1) and m < 2^53, u m rounds below m, so k < m.
+    """
+    if rng is None:
+        rows = zip(lengths, us)
+    else:
+        flat = iter(us)
+        rows = zip(flat, flat)
+    for first, u in rows:
+        if rng is None:
+            length = first
+            pos = bisect_left(times, length)
+        else:
+            u_length = first
+            while True:
+                target = -math.log(u_length)
+                total, prev, count = 0.0, 0.0, n
+                for t in times:
+                    seg = count * (t - prev)
+                    end = total + seg
+                    if end >= target:
+                        break
+                    total = end
+                    prev = t
+                    count -= 1
+                length = prev + (target - total) / count
+                pos = bisect_left(times, length)
+                if pos == len(times) or times[pos] != length:
+                    break
+                u_length = nonzero_uniform(rng)
+            lengths.append(length)
+        label = int(u * (n - pos)) + 1
+        for b in sorted(block_b[:pos]):
+            if b > label:
+                break
+            label += 1
+        n += 1
+        times.insert(pos, length)
+        block_a.insert(pos, label)
+        block_b.insert(pos, n)
 
 
 def extend_recursive(traj: Trajectory, rng: np.random.Generator) -> tuple:
     """Add one individual to a complete trajectory.
 
-    Draws one row of two uniforms (u_length, u_partner).  Inverts the
+    Draws two uniforms (u_length, u_partner) on (0, 1).  Inverts the
     cumulative hazard at the exponential -ln(u_length) to get the new
     individual's length L, and merges it into a uniformly chosen block of
     the partition just before L, picked by u_partner.  A draw whose L
-    exactly equals an existing event time is rejected and redrawn.
-    Returns (L, extended trajectory).
+    exactly equals an existing event time is rejected and redrawn.  Runs
+    the add-individual loop of build_pebls once, on copies of the
+    trajectory's lists.  Returns (L, extended trajectory).
     """
     if not traj.is_complete:
         raise ValueError("trajectory is not complete")
     times = list(traj.times)
     block_a, block_b = list(traj.block_a), list(traj.block_b)
-    u_length, u_partner = nonzero_uniform(rng, 2).tolist()
-    length = _draw_length(times, traj.n, u_length, rng)
-    _merge(times, block_a, block_b, traj.n, length, u_partner)
-    return length, _trusted(Trajectory, n=traj.n + 1, times=times,
-                            block_a=block_a, block_b=block_b)
+    lengths = []
+    _add_individuals(times, block_a, block_b, traj.n, _nonzero_list(rng, 2),
+                     lengths, rng)
+    return lengths[0], _trusted(Trajectory, n=traj.n + 1, times=times,
+                                block_a=block_a, block_b=block_b)
 
 
 def build_pebls(n_max: int, rng: np.random.Generator) -> tuple:
     """Grow a trajectory from a single individual up to n_max, collecting the
     length of each added individual.  Returns (length sequence, trajectory).
-    Runs the two parts of extend_recursive on the lists it hands over, with
-    row k of one (n_max - 1, 2) block of uniforms for the k-th individual
-    added; so on one stream it draws what n_max - 1 calls of
-    extend_recursive draw."""
+    One loop adds the individuals to the lists it hands over: each reads
+    the next pair (u_length, u_partner) of one flat block of 2(n_max - 1)
+    uniforms on (0, 1), and runs the hazard scan, the tie redraw and the
+    merge of extend_recursive.  So on one stream it draws what n_max - 1
+    calls of extend_recursive draw."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     times, block_a, block_b, lengths = [], [], [], []
-    rows = nonzero_uniform(rng, (n_max - 1, 2)).tolist()
-    for n, (u_length, u_partner) in enumerate(rows, start=1):
-        lengths.append(_draw_length(times, n, u_length, rng))
-        _merge(times, block_a, block_b, n, lengths[-1], u_partner)
+    _add_individuals(times, block_a, block_b, 1,
+                     _nonzero_list(rng, 2 * (n_max - 1)), lengths, rng)
     return (_trusted(PeblsSequence, n_max=n_max, lengths=lengths),
             _trusted(Trajectory, n=n_max, times=times, block_a=block_a,
                      block_b=block_b))
@@ -254,17 +268,17 @@ def reconstruct_from_pebls(pebls: PeblsSequence,
 
     Individual n merges at its length L_n into the cluster of a partner
     drawn uniformly from 1 and every j < n with L_j > L_n: the live labels
-    just before L_n, from which the merge step of build_pebls draws when run
-    on the given lengths in order.  The partner uniforms are one block of
-    n_max - 1 draws, one per individual.  The result is a valid trajectory:
-    just before L_n both n and its partner still head distinct clusters,
-    because each individual heads its cluster until its own length and the
-    partner's length exceeds L_n.  So the event is (L_n, partner, n).
+    just before L_n, from which the add-individual loop of build_pebls
+    draws when it runs only its merge, on the given lengths in order.  The
+    partner uniforms are one block of n_max - 1 draws, one per individual.
+    The result is a valid trajectory: just before L_n both n and its
+    partner still head distinct clusters, because each individual heads its
+    cluster until its own length and the partner's length exceeds L_n.  So
+    the event is (L_n, partner, n).
     """
     times, block_a, block_b = [], [], []
-    us = rng.random(pebls.n_max - 1).tolist()
-    for n, (length, u) in enumerate(zip(pebls.lengths, us), start=1):
-        _merge(times, block_a, block_b, n, length, u)
+    _add_individuals(times, block_a, block_b, 1,
+                     rng.random(pebls.n_max - 1).tolist(), pebls.lengths)
     return _trusted(Trajectory, n=pebls.n_max, times=times, block_a=block_a,
                     block_b=block_b)
 

@@ -6,8 +6,10 @@ a - r >= 1 always.  Closed-form pmfs and tails are available in two algebraic
 forms, with independent urn-process oracles in exact rational arithmetic for
 cross-checking, and exact inverse-CDF samplers.
 
-Scalar law evaluation takes an RAState, which stores Python ints, so it
-computes on exact integers; the bulk kernels (the _vector and _batch
+Scalar law evaluation takes an RAState, which stores Python ints, and
+step arguments (r_next, x, y) that it turns into Python ints by the same
+whole-number rule, so it computes on exact integers and returns Python
+floats or Fractions; the bulk kernels (the _vector and _batch
 functions) take raw (r, a) coordinates, whole floats included, so callers
 can tabulate without building state objects in a loop.
 """
@@ -73,7 +75,7 @@ _CUMPROD_MIN = 64
 _CUMPROD_BLOCK = 2**16
 
 
-# Types whose values are whole numbers; _check_state passes them on type.
+# Types whose values are whole numbers; _is_whole passes them on type.
 _WHOLE = (int, np.integer)
 
 
@@ -91,12 +93,25 @@ class RAState:
         self.r, self.a = int(self.r), int(self.a)
 
 
+def _is_whole(v) -> bool:
+    """The one whole-number rule: ints of any size and numpy integers pass
+    on their type; anything else must be a finite, integral float."""
+    return isinstance(v, _WHOLE) or float(v).is_integer()
+
+
+def _whole(name, v) -> int:
+    """A step argument (r_next, x or y) as a Python int; ValueError unless
+    it is a whole number.  Callers test `type(v) is not int` first, so an
+    int costs one type check."""
+    if not _is_whole(v):
+        raise ValueError(f"{name} must be a whole number")
+    return int(v)
+
+
 def _check_state(r, a):
     """ValueError unless (r, a) is a state of the chain: both whole numbers
-    (ints of any size pass on their type; a float must be finite and
-    integral), r >= 1 and a - r >= 1."""
-    if not ((isinstance(r, _WHOLE) or float(r).is_integer())
-            and (isinstance(a, _WHOLE) or float(a).is_integer())):
+    (_is_whole), r >= 1 and a - r >= 1."""
+    if not (_is_whole(r) and _is_whole(a)):
         raise ValueError("rank and position must be whole numbers")
     if r < 1:
         raise ValueError("rank must be >= 1")
@@ -128,7 +143,8 @@ def r_pmf(state: RAState, x, form: str = "product") -> float:
     survival product, while "binomial" evaluates the equivalent
     binomial-coefficient ratio C(2a, a-r-x)/C(2a, a-r-1) scaled by
     (2r+2x)/(a+r+1), exactly for a <= 1e4 and as a falling-factorial ratio
-    beyond.  Their agreement is itself a verified invariant.
+    beyond.  Their agreement is itself a verified invariant.  x must be a
+    whole number (ValueError otherwise), and the value is a Python float.
 
     The product form multiplies the survival ratios onto the absorption
     factor one at a time, in the order of k (see _ratio_product).  With
@@ -136,6 +152,8 @@ def r_pmf(state: RAState, x, form: str = "product") -> float:
     product is rounded once, and the value is the same bits whether the
     product runs in numpy or in the loop.
     """
+    if type(x) is not int:
+        x = _whole("x", x)
     r, a = state.r, state.a
     if x < 1 or x > a - r:
         return 0.0
@@ -159,8 +177,10 @@ def r_tail(state: RAState, x) -> float:
     order of k (see _ratio_product).  With a + r + x < 2^53 every term is
     an exact double, so each ratio and each product is rounded once, and
     the value is the same bits whether the product runs in numpy or in the
-    loop.
+    loop.  x must be a whole number (ValueError otherwise).
     """
+    if type(x) is not int:
+        x = _whole("x", x)
     r, a = state.r, state.a
     if x <= 1:
         return 1.0
@@ -212,7 +232,7 @@ def _rank_pmf(r, a, width) -> np.ndarray:
 
 def _whole_size(name, size) -> int:
     """size as an int; ValueError unless it is a whole number >= 0."""
-    if not (size >= 0 and float(size).is_integer()):
+    if not (size >= 0 and _is_whole(size)):
         raise ValueError(f"{name} must be a whole number >= 0")
     return int(size)
 
@@ -234,7 +254,9 @@ def r_tail_vector(r, a, max_x: int | None = None) -> np.ndarray:
 
 def r_pmf_exact(state: RAState, x) -> Fraction:
     """Product-form pmf as an exact rational: the absorption factor
-    (2r+2x)/(a+r+x) times r_tail_exact."""
+    (2r+2x)/(a+r+x) times r_tail_exact.  x must be a whole number."""
+    if type(x) is not int:
+        x = _whole("x", x)
     r, a = state.r, state.a
     if x < 1 or x > a - r:
         return Fraction(0)
@@ -242,6 +264,9 @@ def r_pmf_exact(state: RAState, x) -> Fraction:
 
 
 def r_tail_exact(state: RAState, x) -> Fraction:
+    """r_tail as an exact rational; x must be a whole number."""
+    if type(x) is not int:
+        x = _whole("x", x)
     r, a = state.r, state.a
     if x <= 1:
         return Fraction(1)
@@ -443,9 +468,14 @@ def sample_r_next_batch(r, a, rng: np.random.Generator, size: int) -> np.ndarray
 # position transition (the next record's position, given a and the new rank)
 
 
-def _check_rank_step(state, r_next):
+def _rank_step(state, r_next) -> int:
+    """r_next as a Python int; ValueError unless it is a whole number in
+    (r, a]."""
+    if type(r_next) is not int:
+        r_next = _whole("r_next", r_next)
     if not state.r < r_next <= state.a:
         raise ValueError("next rank must lie in (r, a]")
+    return r_next
 
 
 def a_pmf(state: RAState, r_next, y, form: str = "closed") -> float:
@@ -453,10 +483,13 @@ def a_pmf(state: RAState, r_next, y, form: str = "closed") -> float:
 
     "closed" evaluates c / ((c+y-1)(c+y)); "product" multiplies the
     success factor 1/(c+y) into the sequential survival product
-    prod_{k<y} (c+k-1)/(c+k), which telescopes to the same value.
+    prod_{k<y} (c+k-1)/(c+k), which telescopes to the same value.  r_next
+    and y must be whole numbers (ValueError otherwise), and the value is a
+    Python float.
     """
-    _check_rank_step(state, r_next)
-    c = state.a + r_next
+    c = state.a + _rank_step(state, r_next)
+    if type(y) is not int:
+        y = _whole("y", y)
     if y < 1:
         return 0.0
     if form == "closed":
@@ -479,7 +512,7 @@ def a_pmf_vector(r, a, r_next, max_y: int) -> np.ndarray:
     c, float(c) + y is that sum; past 2^53 an integer c that is not a
     double takes it from the exact integers c + y.
     """
-    _check_rank_step(RAState(r, a), r_next)
+    r_next = _rank_step(RAState(r, a), r_next)
     max_y = _whole_size("max_y", max_y)
     c = a + r_next
     if isinstance(c, _WHOLE) and float(c) != c:
@@ -490,25 +523,31 @@ def a_pmf_vector(r, a, r_next, max_y: int) -> np.ndarray:
 
 
 def a_tail(state: RAState, r_next, y) -> float:
-    """P(next position >= a + y) = c/(c+y-1) for y >= 1."""
-    _check_rank_step(state, r_next)
-    c = state.a + r_next
+    """P(next position >= a + y) = c/(c+y-1) for y >= 1; r_next and y
+    must be whole numbers."""
+    c = state.a + _rank_step(state, r_next)
+    if type(y) is not int:
+        y = _whole("y", y)
     if y <= 1:
         return 1.0
     return c / (c + y - 1.0)
 
 
 def a_pmf_exact(state: RAState, r_next, y) -> Fraction:
-    _check_rank_step(state, r_next)
-    c = state.a + r_next
+    """a_pmf as an exact rational; r_next and y must be whole numbers."""
+    c = state.a + _rank_step(state, r_next)
+    if type(y) is not int:
+        y = _whole("y", y)
     if y < 1:
         return Fraction(0)
     return Fraction(c, (c + y - 1) * (c + y))
 
 
 def a_tail_exact(state: RAState, r_next, y) -> Fraction:
-    _check_rank_step(state, r_next)
-    c = state.a + r_next
+    """a_tail as an exact rational; r_next and y must be whole numbers."""
+    c = state.a + _rank_step(state, r_next)
+    if type(y) is not int:
+        y = _whole("y", y)
     if y <= 1:
         return Fraction(1)
     return Fraction(c, c + y - 1)
@@ -519,9 +558,10 @@ def sample_a_next(state: RAState, r_next, rng: np.random.Generator):
 
     The closed form inverts the tail c/(c+y-1); a draw whose intermediate
     overflows floating point (u below roughly c/1e308) is redrawn.  A
-    position above 1e300 raises OverflowError.
+    position above 1e300 raises OverflowError.  r_next must be a whole
+    number.
     """
-    _check_rank_step(state, r_next)
+    r_next = _rank_step(state, r_next)
     a = state.a
     if not a <= _FLOAT_LIMIT:
         raise OverflowError(f"position above {_FLOAT_LIMIT:g}")
@@ -650,9 +690,8 @@ def urn_oracle_a(state: RAState, r_next, y_cutoff: int) -> tuple:
     """Exact position-transition law by enumerating the individual-planting
     urn: one target gap among c + y subintervals at attempt y, each failure
     adding a subinterval.  Returns (probs for y = 1..y_cutoff, exact tail
-    P(y > y_cutoff))."""
-    _check_rank_step(state, r_next)
-    c = state.a + r_next
+    P(y > y_cutoff)); r_next must be a whole number."""
+    c = state.a + _rank_step(state, r_next)
     if c > _URN_MAX_C:
         raise ValueError(f"urn enumeration capped at a + r_next = {_URN_MAX_C}")
     if y_cutoff < 1:

@@ -34,13 +34,31 @@ def nonzero_uniform(rng: np.random.Generator, size: int | tuple | None = None):
         while u == 0.0:
             u = rng.random()
         return u
-    u = rng.random(size)
+    return _redraw_zeros(rng, rng.random(size))
+
+
+def _redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """u with every 0.0 redrawn in place, in one random(count) call per
+    pass over the zeros left, each landing at its flat position."""
     bad = u == 0.0
     count = np.count_nonzero(bad)
     while count:
         u[bad] = rng.random(count)
         bad = u == 0.0
         count = np.count_nonzero(bad)
+    return u
+
+
+def _nonzero_list(rng: np.random.Generator, k: int) -> list:
+    """nonzero_uniform(rng, k).tolist(), for loops that read Python floats.
+
+    A list is tested for a zero with `in`, which costs less than numpy's
+    mask at the sizes of one coalescent build; a zero goes through
+    nonzero_uniform's rule, so the values are the same.
+    """
+    u = rng.random(k).tolist()
+    if 0.0 in u:
+        u = _redraw_zeros(rng, np.array(u)).tolist()
     return u
 
 

@@ -108,15 +108,22 @@ def test_c11_chunk_callables_pickle():
         assert np.array_equal(copy(stream(0, 11, 0), 5), chunk(stream(0, 11, 0), 5))
 
 
-def test_c12_report_determinism():
+def test_c12_report_determinism(tmp_path):
     # Byte-identical JSON across repeated runs; two full verification
-    # passes through the real command line.
+    # passes through the real command line, run as two processes at once,
+    # so they also show that two passes share no state.  Each writes to
+    # files of its own, so neither waits on a full pipe.
     cmd = [sys.executable, "-m", "seqcoal.cli", "verify", "--seed", str(SEED)]
-    outs = []
-    for _ in range(2):
-        proc = subprocess.run(cmd, capture_output=True)
-        assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
+    runs = []
+    for i in range(2):
+        out, err = tmp_path / f"report{i}.json", tmp_path / f"stderr{i}.txt"
+        with open(out, "wb") as stdout, open(err, "wb") as stderr:
+            runs.append((subprocess.Popen(cmd, stdout=stdout, stderr=stderr),
+                         out, err))
+    codes = [proc.wait() for proc, _, _ in runs]
+    for code, (_, _, err) in zip(codes, runs):
+        assert code == 0, err.read_text()
+    outs = [out.read_bytes() for _, out, _ in runs]
     assert outs[0] == outs[1], "repeat run changed the report"
     print("criterion 12 report_determinism: PASS")
 

@@ -3,17 +3,18 @@
 import functools
 import hashlib
 import math
+from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from seqcoal.kingman import (PeblsSequence, Trajectory, TrajectoryEvent,
-                             _invert_hazard, _merge, build_pebls,
-                             extend_recursive, reconstruct_from_pebls,
-                             simulate_kingman, time_to_mrca)
+                             _add_individuals, build_pebls, extend_recursive,
+                             reconstruct_from_pebls, simulate_kingman,
+                             time_to_mrca)
 from seqcoal.stats import chi2_gof, chi2_two_sample, ks_one_sample
-from seqcoal.streams import stream
+from seqcoal.streams import nonzero_uniform, stream
 from test_ra_chain import ScriptedRNG
 
 
@@ -70,15 +71,72 @@ def test_mrca_mean_ten_individuals():
     assert np.mean(vals) == pytest.approx(1.8, abs=0.06)
 
 
+def _invert_hazard(times: list, n: int, target: float) -> float:
+    """Reference for the hazard scan of the add-individual loop: the time at
+    which the cumulative hazard reaches target > 0, for n individuals and
+    sorted event times.  The scan stops at the first segment whose end
+    reaches target and inverts it there."""
+    total, prev, count = 0.0, 0.0, n
+    for t in times:
+        seg = count * (t - prev)
+        if total + seg >= target:
+            break
+        total += seg
+        prev = t
+        count -= 1
+    return prev + (target - total) / count
+
+
+def _merge(times: list, block_a: list, block_b: list, n: int, length: float,
+           u: float):
+    """Reference for the merge of the add-individual loop: individual n + 1
+    joins, in place, the k-th live label just before L for k = floor(u m),
+    m = n - pos, which is k + 1 stepped past the labels retired by then."""
+    pos = bisect_left(times, length)
+    label = int(u * (n - pos)) + 1
+    for b in sorted(block_b[:pos]):
+        if b > label:
+            break
+        label += 1
+    times.insert(pos, length)
+    block_a.insert(pos, label)
+    block_b.insert(pos, n + 1)
+
+
+def _uniform_at(target: float) -> float:
+    """A double u near e^-target with -ln(u) exactly target."""
+    u = math.exp(-target)
+    for _ in range(16):
+        if -math.log(u) == target:
+            return u
+        u = math.nextafter(u, 1.0 if -math.log(u) > target else 0.0)
+    raise AssertionError(f"no double u has -ln(u) == {target!r}")
+
+
+def _step_off(u: float, toward: float) -> float:
+    """The nearest double past u toward `toward` whose -ln differs from
+    that of u."""
+    v = math.nextafter(u, toward)
+    while -math.log(v) == -math.log(u):
+        v = math.nextafter(v, toward)
+    return v
+
+
 def test_cumulative_hazard_round_trip():
+    # extend_recursive inverts the hazard at -ln(u_length): the cumulative
+    # hazard at the length it returns gives that target back, and the
+    # length is the reference scan's to the bit
     traj = simulate_kingman(9, stream(4, 0))
     for target in [0.05, 0.8, 3.0, 11.0]:
-        t = _invert_hazard(traj.times, traj.n, target)
-        assert _cumulative_hazard(traj, t) == pytest.approx(target, abs=1e-12)
+        u = math.exp(-target)
+        length, _ = extend_recursive(traj, ScriptedRNG([u, 0.5]))
+        assert _cumulative_hazard(traj, length) == pytest.approx(
+            -math.log(u), abs=1e-12)
+        assert length == _invert_hazard(traj.times, traj.n, -math.log(u))
     # piecewise slopes equal the block count
     t0 = traj.times[0]
-    assert _invert_hazard(traj.times, traj.n, 9 * t0 / 2) == pytest.approx(
-        t0 / 2)
+    length, _ = extend_recursive(traj, ScriptedRNG([math.exp(-9 * t0 / 2), 0.5]))
+    assert length == pytest.approx(t0 / 2)
 
 
 def test_inversion_at_an_event_returns_its_time():
@@ -93,6 +151,18 @@ def test_inversion_at_an_event_returns_its_time():
         assert _invert_hazard(traj.times, 3, target) == t
         assert _invert_hazard(traj.times, 3, math.nextafter(target, 0.0)) < t
         assert _invert_hazard(traj.times, 3, math.nextafter(target, 9.0)) > t
+        # the loop of extend_recursive lands on t from a u with -ln(u)
+        # exactly the target, so it redraws that tie from the generator;
+        # a u whose -ln lies below or above the target lands before or
+        # after t
+        u = _uniform_at(target)
+        rng = ScriptedRNG([u, 0.5, 0.9])
+        length, _ = extend_recursive(traj, rng)
+        assert length == _invert_hazard(traj.times, 3, -math.log(0.9))
+        assert rng.values == []
+        below, _ = extend_recursive(traj, ScriptedRNG([_step_off(u, 1.0), 0.5]))
+        above, _ = extend_recursive(traj, ScriptedRNG([_step_off(u, 0.0), 0.5]))
+        assert below < t < above
 
 
 def test_extend_recursive_grows_by_one():
@@ -207,20 +277,62 @@ def test_build_pebls_reads_one_block_of_rows(n):
     assert built == traj
 
 
+def _merge_by_loop(times, block_a, block_b, n, length, u):
+    """The add-individual loop running only its merge, on a given length."""
+    _add_individuals(times, block_a, block_b, n, [u], [length])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 2**20, 2**53 - 1])
 def test_merge_end_uniforms_pick_end_labels(n):
     # floor(u m) over m live labels: u = 0 picks the first and the largest
     # double below 1 the last, so the index never reaches m.  Below every
     # event all n labels are live; in the n = 3 history below, label 2 is
-    # retired at 0.5, so just before 1.0 the live labels are 1 and 3
+    # retired at 0.5, so just before 1.0 the live labels are 1 and 3.  The
+    # add-individual loop runs only its merge on a given length, and the
+    # reference merge agrees with it
     for u, label in ((0.0, 1), (1.0 - 2.0**-53, n)):
-        times, block_a, block_b = [], [], []
-        _merge(times, block_a, block_b, n, 0.25, u)
-        assert (times, block_a, block_b) == ([0.25], [label], [n + 1])
+        for merge in (_merge, _merge_by_loop):
+            times, block_a, block_b = [], [], []
+            merge(times, block_a, block_b, n, 0.25, u)
+            assert (times, block_a, block_b) == ([0.25], [label], [n + 1])
     for u, label in ((0.0, 1), (1.0 - 2.0**-53, 3)):
-        times, block_a, block_b = [0.5, 1.5], [1, 1], [2, 3]
-        _merge(times, block_a, block_b, 3, 1.0, u)
-        assert block_a[1] == label and block_b[1] == 4
+        for merge in (_merge, _merge_by_loop):
+            times, block_a, block_b = [0.5, 1.5], [1, 1], [2, 3]
+            merge(times, block_a, block_b, 3, 1.0, u)
+            assert block_a[1] == label and block_b[1] == 4
+
+
+def _build_by_parts(n_max, rng):
+    """build_pebls written as its parts: rows (u_length, u_partner) of one
+    (n_max - 1, 2) block, the reference hazard scan with a tie redrawn from
+    rng, and the reference merge."""
+    times, block_a, block_b, lengths = [], [], [], []
+    for n, (u_length, u_partner) in enumerate(
+            nonzero_uniform(rng, (n_max - 1, 2)).tolist(), start=1):
+        while True:
+            length = _invert_hazard(times, n, -math.log(u_length))
+            pos = bisect_left(times, length)
+            if pos == len(times) or times[pos] != length:
+                break
+            u_length = nonzero_uniform(rng)
+        lengths.append(length)
+        _merge(times, block_a, block_b, n, length, u_partner)
+    return lengths, Trajectory(n_max, map(TrajectoryEvent, times, block_a,
+                                          block_b))
+
+
+@pytest.mark.parametrize("n,seeds", [(1, 5), (2, 100), (3, 100), (10, 100),
+                                     (160, 5)])
+def test_build_pebls_matches_its_parts(n, seeds):
+    # the fused loop gives the lengths, events and next generator state of
+    # the reference parts on the same stream
+    for seed in range(seeds):
+        rng, ref_rng = stream(40, n, seed), stream(40, n, seed)
+        pebls, built = build_pebls(n, rng)
+        lengths, traj = _build_by_parts(n, ref_rng)
+        assert pebls.lengths == lengths
+        assert built == traj
+        assert rng.random() == ref_rng.random()
 
 
 def test_reconstruct_two_individuals_is_forced():
@@ -346,6 +458,32 @@ def test_build_pebls_redraws_a_tied_length():
     assert pebls.lengths == [-math.log(0.5), -math.log(0.75) / 2.0]
     assert rng.values == []
     traj.validate()
+
+
+def test_simulate_redraws_a_zero_at_its_flat_position():
+    # the block of 3(n - 1) = 6 uniforms holds zeros at flat positions 1 and
+    # 4; nonzero_uniform's rule redraws both with one random(2), then the
+    # 0.0 that pass put back at position 1 with one random(1)
+    script = [0.3, 0.0, 0.2, 0.4, 0.0, 0.6, 0.0, 0.7, 0.8]
+    block = [0.3, 0.8, 0.2, 0.4, 0.7, 0.6]
+    assert nonzero_uniform(ScriptedRNG(script), (2, 3)).ravel().tolist() == block
+    rng = ScriptedRNG(script)
+    assert simulate_kingman(3, rng) == simulate_kingman(3, ScriptedRNG(block))
+    assert rng.values == []
+
+
+def test_build_pebls_redraws_a_zero_at_its_flat_position():
+    # a zero u_length of individual 3 (flat position 2 of 4) would have no
+    # log; it is redrawn there, as nonzero_uniform places it
+    script = [0.5, 0.3, 0.0, 0.6, 0.1]
+    block = [0.5, 0.3, 0.1, 0.6]
+    assert nonzero_uniform(ScriptedRNG(script), (2, 2)).ravel().tolist() == block
+    rng = ScriptedRNG(script)
+    pebls, traj = build_pebls(3, rng)
+    assert rng.values == []
+    assert pebls.lengths == [-math.log(0.5), _invert_hazard(
+        [-math.log(0.5)], 2, -math.log(0.1))]
+    assert (pebls, traj) == build_pebls(3, ScriptedRNG(block))
 
 
 def _builder_outputs(n, seed):

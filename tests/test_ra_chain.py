@@ -97,6 +97,47 @@ def test_scalar_api_is_exact_integer(state, call):
         assert _types(got) == _types(want)
 
 
+# Every scalar function with a step argument, called with that argument set
+# to v at RAState(1, 5), where r_next = 3, x = 3 and y = 3 lie inside each
+# support
+_STEP_CALLS = [
+    ("r_pmf-x", lambda st, v: r_pmf(st, v)),
+    ("r_pmf_binomial-x", lambda st, v: r_pmf(st, v, form="binomial")),
+    ("r_tail-x", lambda st, v: r_tail(st, v)),
+    ("r_pmf_exact-x", lambda st, v: r_pmf_exact(st, v)),
+    ("r_tail_exact-x", lambda st, v: r_tail_exact(st, v)),
+    ("a_pmf-r_next", lambda st, v: a_pmf(st, v, 2)),
+    ("a_pmf-y", lambda st, v: a_pmf(st, 3, v)),
+    ("a_pmf_product-r_next", lambda st, v: a_pmf(st, v, 2, form="product")),
+    ("a_pmf_product-y", lambda st, v: a_pmf(st, 3, v, form="product")),
+    ("a_pmf_vector-r_next", lambda st, v: a_pmf_vector(st.r, st.a, v, 4).tolist()),
+    ("a_tail-r_next", lambda st, v: a_tail(st, v, 2)),
+    ("a_tail-y", lambda st, v: a_tail(st, 3, v)),
+    ("a_pmf_exact-r_next", lambda st, v: a_pmf_exact(st, v, 2)),
+    ("a_pmf_exact-y", lambda st, v: a_pmf_exact(st, 3, v)),
+    ("a_tail_exact-r_next", lambda st, v: a_tail_exact(st, v, 2)),
+    ("a_tail_exact-y", lambda st, v: a_tail_exact(st, 3, v)),
+    ("sample_a_next-r_next", lambda st, v: sample_a_next(st, v, stream(29, 3))),
+    ("urn_oracle_a-r_next", lambda st, v: urn_oracle_a(st, v, 4)),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in _STEP_CALLS],
+                         ids=[c[0] for c in _STEP_CALLS])
+def test_step_arguments_are_whole_numbers(call):
+    # r_next, x and y take the state's whole-number rule: a numpy integer
+    # or a whole float gives the int's value of the same Python type, and
+    # anything else raises ValueError
+    st = RAState(1, 5)
+    want = call(st, 3)
+    for v in (np.int64(3), 3.0):
+        got = call(st, v)
+        assert got == want
+        assert _types(got) == _types(want)
+    with pytest.raises(ValueError, match="whole number"):
+        call(st, 2.5)
+
+
 # --- the first record -------------------------------------------------------
 
 
@@ -111,8 +152,9 @@ def test_nonzero_uniform_redraws_zeros():
     assert nonzero_uniform(ScriptedRNG([0.0, 0.0, 0.25])) == 0.25
     got = nonzero_uniform(ScriptedRNG([0.5, 0.0, 0.75, 0.0, 0.0, 0.125]), 3)
     assert got.tolist() == [0.5, 0.125, 0.75]
-    # a 2-D block, the shape the Kingman builders draw: its zeros are
-    # redrawn in row-major order, all of them in one call, until none is left
+    # a 2-D block: its zeros are redrawn at their flat (row-major)
+    # positions, all of them in one call, until none is left; the Kingman
+    # builders' flat blocks take the same rule (tests/test_kingman.py)
     rng = ScriptedRNG([0.5, 0.0, 0.75, 0.25, 0.0, 0.125, 0.375, 0.0, 0.625])
     got = nonzero_uniform(rng, (3, 2))
     assert got.tolist() == [[0.5, 0.375], [0.75, 0.25], [0.625, 0.125]]
