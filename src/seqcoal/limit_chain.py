@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ra_chain import _log_r_tail, _rank_pmf
+from .ra_chain import _log_r_tail, _rank_pmf, _whole
 from .streams import exp_inverse
 
 __all__ = [
@@ -68,8 +68,7 @@ class WnLaw:
 
     @classmethod
     def build(cls, n: int) -> "WnLaw":
-        _check_n(n)
-        n = int(n)
+        n = _whole("n", n, 1)
         if n > _EXACT_WN_LIMIT:
             raise ValueError(
                 f"exact weights capped at n = {_EXACT_WN_LIMIT}; "
@@ -93,17 +92,11 @@ class WnLaw:
         return _wn_pmf_float(self.n)
 
 
-def _check_n(n):
-    """ValueError unless n is a whole number >= 1."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError("need a whole n >= 1")
-
-
 def _wn_pmf_float(n: int) -> np.ndarray:
     """P(W_n = k) in doubles for k = 0..n, with no exact weights and no cap
     on n: 0 at k = 0, then the rank law from (0, n),
     (2k/(n+k)) prod_{j<k} (n-j)/(n+j), as one cumulative product."""
-    _check_n(n)
+    n = _whole("n", n, 1)
     return np.concatenate(([0.0], _rank_pmf(0, n, n)))
 
 
@@ -112,7 +105,7 @@ def wn_log_pmf(n: int, k) -> float | np.ndarray:
     factor ln(2k/(n+k)) plus the log tail of the rank step, so it works far
     past the exact-weight range.  k = 0 or k outside 0..n gives -inf;
     ValueError unless n is a whole number >= 1."""
-    _check_n(n)
+    n = _whole("n", n, 1)
     k_arr = np.asarray(k, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(2.0 * k_arr / (n + k_arr)) + _log_r_tail(0, n, k_arr)
@@ -153,13 +146,14 @@ def rescaled_observables(R, A, burn_in: int = 0) -> tuple:
     them.
     Returns arrays (xi, eta) with xi_i = R_i^2 / A_i and
     eta_i = ln(A_i / A_{i-1}) for states i = burn_in + 1, burn_in + 2, ...,
-    so that row 0 of each belongs to state burn_in + 1.
+    so that row 0 of each belongs to state burn_in + 1 (burn_in >= 0).
     """
     R = np.asarray(R, dtype=float)
     A = np.asarray(A, dtype=float)
     if R.shape != A.shape:
         raise ValueError("R and A must have the same shape")
-    if burn_in < 0 or burn_in + 1 >= R.shape[0]:
+    burn_in = _whole("burn_in", burn_in, 0)
+    if burn_in + 1 >= R.shape[0]:
         raise ValueError("burn_in leaves no observations")
     xi = R[burn_in + 1:] ** 2 / A[burn_in + 1:]
     eta = np.log(A[burn_in + 1:] / A[burn_in:-1])

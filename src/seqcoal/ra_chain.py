@@ -6,12 +6,13 @@ a - r >= 1 always.  Closed-form pmfs and tails are available in two algebraic
 forms, with independent urn-process oracles in exact rational arithmetic for
 cross-checking, and exact inverse-CDF samplers.
 
-Scalar law evaluation takes an RAState, which stores Python ints, and
-step arguments (r_next, x, y) that it turns into Python ints by the same
-whole-number rule, so it computes on exact integers and returns Python
-floats or Fractions; the bulk kernels (the _vector and _batch
-functions) take raw (r, a) coordinates, whole floats included, so callers
-can tabulate without building state objects in a loop.
+Every count and step argument takes one whole-number rule (_whole): an int
+or a numpy integer passes, a whole float becomes a Python int, and anything
+else, or a count below its minimum, raises ValueError.  Scalar law
+evaluation takes an RAState, which stores Python ints, so it computes on
+exact integers and returns Python floats or Fractions; the bulk kernels (the
+_vector and _batch functions) take raw (r, a) coordinates, whole floats
+included, so callers can tabulate without building state objects in a loop.
 """
 
 from __future__ import annotations
@@ -99,13 +100,17 @@ def _is_whole(v) -> bool:
     return isinstance(v, _WHOLE) or float(v).is_integer()
 
 
-def _whole(name, v) -> int:
-    """A step argument (r_next, x or y) as a Python int; ValueError unless
-    it is a whole number.  Callers test `type(v) is not int` first, so an
-    int costs one type check."""
-    if not _is_whole(v):
-        raise ValueError(f"{name} must be a whole number")
-    return int(v)
+def _whole(name, v, low=None) -> int:
+    """A count or step argument as a Python int: an int passes on one type
+    test, a numpy integer or a whole float becomes an int, and anything
+    else, or a value below low, raises ValueError."""
+    if type(v) is int:
+        if low is None or v >= low:
+            return v
+    elif _is_whole(v) and (low is None or v >= low):
+        return int(v)
+    raise ValueError(f"{name} must be a whole number"
+                     + ("" if low is None else f" >= {low}"))
 
 
 def _check_state(r, a):
@@ -125,7 +130,7 @@ def sample_a1(rng: np.random.Generator, size: int | None = None):
     Inverse CDF on the tail P(A_1 >= n) = 2/n: a = floor(2/u).  u = 0 is
     redrawn; float uniforms are >= 2^-53 so the result fits in an int64.
     """
-    u = nonzero_uniform(rng, size)
+    u = nonzero_uniform(rng, None if size is None else _whole("size", size, 0))
     if size is None:
         return int(2.0 / u)
     return np.floor(2.0 / u).astype(np.int64)
@@ -152,8 +157,7 @@ def r_pmf(state: RAState, x, form: str = "product") -> float:
     product is rounded once, and the value is the same bits whether the
     product runs in numpy or in the loop.
     """
-    if type(x) is not int:
-        x = _whole("x", x)
+    x = _whole("x", x)
     r, a = state.r, state.a
     if x < 1 or x > a - r:
         return 0.0
@@ -179,8 +183,7 @@ def r_tail(state: RAState, x) -> float:
     the value is the same bits whether the product runs in numpy or in the
     loop.  x must be a whole number (ValueError otherwise).
     """
-    if type(x) is not int:
-        x = _whole("x", x)
+    x = _whole("x", x)
     r, a = state.r, state.a
     if x <= 1:
         return 1.0
@@ -230,17 +233,10 @@ def _rank_pmf(r, a, width) -> np.ndarray:
     return survival * (2.0 * r + 2.0 * x) / (a + r + x)
 
 
-def _whole_size(name, size) -> int:
-    """size as an int; ValueError unless it is a whole number >= 0."""
-    if not (size >= 0 and _is_whole(size)):
-        raise ValueError(f"{name} must be a whole number >= 0")
-    return int(size)
-
-
 def r_pmf_vector(r, a, max_x: int | None = None) -> np.ndarray:
     """pmf over x = 1..min(a-r, max_x), via one cumulative product."""
     _check_state(r, a)
-    width = a - r if max_x is None else min(a - r, _whole_size("max_x", max_x))
+    width = a - r if max_x is None else min(a - r, _whole("max_x", max_x, 0))
     return _rank_pmf(r, a, width)
 
 
@@ -248,15 +244,14 @@ def r_tail_vector(r, a, max_x: int | None = None) -> np.ndarray:
     """Tails for x = 1..min(a-r, max_x)+1, by the cumulative product of
     r_tail; over the full support the final entry is exactly 0."""
     _check_state(r, a)
-    width = a - r if max_x is None else min(a - r, _whole_size("max_x", max_x))
+    width = a - r if max_x is None else min(a - r, _whole("max_x", max_x, 0))
     return np.cumprod(_rank_terms(1.0, r, a, 1, width + 1))
 
 
 def r_pmf_exact(state: RAState, x) -> Fraction:
     """Product-form pmf as an exact rational: the absorption factor
     (2r+2x)/(a+r+x) times r_tail_exact.  x must be a whole number."""
-    if type(x) is not int:
-        x = _whole("x", x)
+    x = _whole("x", x)
     r, a = state.r, state.a
     if x < 1 or x > a - r:
         return Fraction(0)
@@ -265,8 +260,7 @@ def r_pmf_exact(state: RAState, x) -> Fraction:
 
 def r_tail_exact(state: RAState, x) -> Fraction:
     """r_tail as an exact rational; x must be a whole number."""
-    if type(x) is not int:
-        x = _whole("x", x)
+    x = _whole("x", x)
     r, a = state.r, state.a
     if x <= 1:
         return Fraction(1)
@@ -441,7 +435,8 @@ def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
                 break
             x += 1
         return r + x
-
+    if not a <= _FLOAT_LIMIT:
+        raise OverflowError(f"position above {_FLOAT_LIMIT:g}")
     x = _invert_rank(np.array([float(r)]), np.array([float(a)]),
                      np.array([math.log(u)]))
     # past 2^53, float(a) - float(r) can round above the exact a - r
@@ -455,7 +450,7 @@ def sample_r_next_batch(r, a, rng: np.random.Generator, size: int) -> np.ndarray
     scalar sampler scans for a <= 1e6, then inverts every uniform with one
     searchsorted.  Ties resolve to the smaller x, matching sample_r_next.
     """
-    _check_state(r, a)
+    size = _whole("size", size, 0)
     if a - r > 10**7:
         raise ValueError("support too wide to tabulate; draw scalars instead")
     tails = r_tail_vector(r, a)  # tails[i] = tail(i+1), decreasing, ends at 0
@@ -471,8 +466,7 @@ def sample_r_next_batch(r, a, rng: np.random.Generator, size: int) -> np.ndarray
 def _rank_step(state, r_next) -> int:
     """r_next as a Python int; ValueError unless it is a whole number in
     (r, a]."""
-    if type(r_next) is not int:
-        r_next = _whole("r_next", r_next)
+    r_next = _whole("r_next", r_next)
     if not state.r < r_next <= state.a:
         raise ValueError("next rank must lie in (r, a]")
     return r_next
@@ -488,8 +482,7 @@ def a_pmf(state: RAState, r_next, y, form: str = "closed") -> float:
     Python float.
     """
     c = state.a + _rank_step(state, r_next)
-    if type(y) is not int:
-        y = _whole("y", y)
+    y = _whole("y", y)
     if y < 1:
         return 0.0
     if form == "closed":
@@ -513,7 +506,7 @@ def a_pmf_vector(r, a, r_next, max_y: int) -> np.ndarray:
     double takes it from the exact integers c + y.
     """
     r_next = _rank_step(RAState(r, a), r_next)
-    max_y = _whole_size("max_y", max_y)
+    max_y = _whole("max_y", max_y, 0)
     c = a + r_next
     if isinstance(c, _WHOLE) and float(c) != c:
         cy = (np.arange(1, max_y + 1, dtype=object) + int(c)).astype(float)
@@ -526,8 +519,7 @@ def a_tail(state: RAState, r_next, y) -> float:
     """P(next position >= a + y) = c/(c+y-1) for y >= 1; r_next and y
     must be whole numbers."""
     c = state.a + _rank_step(state, r_next)
-    if type(y) is not int:
-        y = _whole("y", y)
+    y = _whole("y", y)
     if y <= 1:
         return 1.0
     return c / (c + y - 1.0)
@@ -536,8 +528,7 @@ def a_tail(state: RAState, r_next, y) -> float:
 def a_pmf_exact(state: RAState, r_next, y) -> Fraction:
     """a_pmf as an exact rational; r_next and y must be whole numbers."""
     c = state.a + _rank_step(state, r_next)
-    if type(y) is not int:
-        y = _whole("y", y)
+    y = _whole("y", y)
     if y < 1:
         return Fraction(0)
     return Fraction(c, (c + y - 1) * (c + y))
@@ -546,8 +537,7 @@ def a_pmf_exact(state: RAState, r_next, y) -> Fraction:
 def a_tail_exact(state: RAState, r_next, y) -> Fraction:
     """a_tail as an exact rational; r_next and y must be whole numbers."""
     c = state.a + _rank_step(state, r_next)
-    if type(y) is not int:
-        y = _whole("y", y)
+    y = _whole("y", y)
     if y <= 1:
         return Fraction(1)
     return Fraction(c, c + y - 1)
@@ -620,8 +610,8 @@ def sample_paths_batch(num_paths: int, steps: int, rng: np.random.Generator,
     (1e20, 1e22).  The start must be a state of the chain: ValueError
     unless both coordinates are whole numbers, r >= 1 and a - r >= 1.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    num_paths = _whole("num_paths", num_paths, 0)
+    steps = _whole("steps", steps, 0)
     r0, a0 = start
     _check_state(r0, a0)
     if not a0 <= _FLOAT_LIMIT:
@@ -690,12 +680,11 @@ def urn_oracle_a(state: RAState, r_next, y_cutoff: int) -> tuple:
     """Exact position-transition law by enumerating the individual-planting
     urn: one target gap among c + y subintervals at attempt y, each failure
     adding a subinterval.  Returns (probs for y = 1..y_cutoff, exact tail
-    P(y > y_cutoff)); r_next must be a whole number."""
+    P(y > y_cutoff)); r_next must be a whole number, y_cutoff one >= 1."""
     c = state.a + _rank_step(state, r_next)
     if c > _URN_MAX_C:
         raise ValueError(f"urn enumeration capped at a + r_next = {_URN_MAX_C}")
-    if y_cutoff < 1:
-        raise ValueError("need a cutoff >= 1")
+    y_cutoff = _whole("y_cutoff", y_cutoff, 1)
     surviving = Fraction(1)
     probs = []
     for y in range(1, y_cutoff + 1):

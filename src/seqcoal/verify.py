@@ -67,9 +67,12 @@ def _mean_test(values: np.ndarray, target: float) -> tuple:
 _A1_TOP = 50
 
 
-def _a1_bin(values: np.ndarray) -> np.ndarray:
-    """Counts over bins 2..50 plus a tail bin; 0 means censored past the
-    cap and lands in the tail."""
+def _a1_chunk(field, rng, size) -> np.ndarray:
+    """Counts of `size` first records, read off stick fields or drawn in
+    closed form, over bins 2..50 plus a tail bin; 0 means censored past
+    the cap and lands in the tail."""
+    values = (aldous.batch_first_record(size, rng, _A1_TOP + 1) if field
+              else ra_chain.sample_a1(rng, size))
     clipped = np.where((values < 2) | (values > _A1_TOP), _A1_TOP + 1, values)
     return np.bincount(clipped - 2, minlength=_A1_TOP)
 
@@ -80,12 +83,8 @@ def c01_first_record_law(seed: int) -> CriterionResult:
     probs = np.array([2.0 / (n * (n + 1)) for n in range(2, _A1_TOP + 1)]
                      + [2.0 / (_A1_TOP + 1)])
 
-    closed = sum(_map_chunks(
-        lambda rng, size: _a1_bin(ra_chain.sample_a1(rng, size)),
-        total, seed, 1, 0))
-    field = sum(_map_chunks(
-        lambda rng, size: _a1_bin(aldous.batch_first_record(size, rng, _A1_TOP + 1)),
-        total, seed, 1, 1))
+    closed = sum(_map_chunks(functools.partial(_a1_chunk, False), total, seed, 1, 0))
+    field = sum(_map_chunks(functools.partial(_a1_chunk, True), total, seed, 1, 1))
 
     rep_closed = chi2_gof(closed, probs)
     rep_field = chi2_gof(field, probs)
@@ -255,6 +254,19 @@ def c04_tail_identities(seed: int) -> CriterionResult:
 # criterion 5: sampler frequencies against exact pmfs
 
 
+def _rank_count_chunk(r, a, rng, size) -> np.ndarray:
+    """Counts of the rank steps x = 1..a - r of `size` draws from (r, a)."""
+    draws = ra_chain.sample_r_next_batch(r, a, rng, size)
+    return np.bincount(draws - r - 1, minlength=a - r)
+
+
+def _position_count_chunk(c, cutoff, rng, size) -> np.ndarray:
+    """Counts of y = 1..cutoff, then y > cutoff, of `size` draws at c."""
+    y = ra_chain._position_offsets(np.full(size, float(c)), rng)
+    return np.bincount(np.minimum(y, cutoff + 1).astype(np.int64) - 1,
+                       minlength=cutoff + 1)
+
+
 def c05_sampler_frequencies(seed: int) -> CriterionResult:
     """The array samplers, each uniform inverted exactly; the scalar
     samplers are pinned to them draw for draw in the unit tests."""
@@ -263,21 +275,17 @@ def c05_sampler_frequencies(seed: int) -> CriterionResult:
     passed = True
 
     for idx, (r, a) in enumerate(((1, 3), (2, 7), (5, 40))):
-        def draw(rng, size, r=r, a=a):
-            draws = ra_chain.sample_r_next_batch(r, a, rng, size)
-            return np.bincount(draws - r - 1, minlength=a - r)
-        counts = sum(_map_chunks(draw, total, seed, 5, idx))
+        counts = sum(_map_chunks(functools.partial(_rank_count_chunk, r, a),
+                                 total, seed, 5, idx))
         rep = chi2_gof(counts, ra_chain.r_pmf_vector(r, a))
         details[f"p_rank_{r}_{a}"] = _round6(rep.p_value)
         passed = passed and rep.passed
 
     cutoff = 200
     for idx, (c_val, prior, r_next) in enumerate(_position_grid_states()[:3]):
-        def draw(rng, size, c_val=c_val):
-            y = ra_chain._position_offsets(np.full(size, float(c_val)), rng)
-            return np.bincount(np.minimum(y, cutoff + 1).astype(np.int64) - 1,
-                               minlength=cutoff + 1)
-        counts = sum(_map_chunks(draw, total, seed, 5, 10 + idx))
+        counts = sum(_map_chunks(
+            functools.partial(_position_count_chunk, c_val, cutoff),
+            total, seed, 5, 10 + idx))
         probs = np.append(
             ra_chain.a_pmf_vector(prior.r, prior.a, r_next, cutoff),
             ra_chain.a_tail(prior, r_next, cutoff + 1))
@@ -391,6 +399,11 @@ def _limit_pair_chunk(rng, size) -> tuple:
     return xi0, limit_chain.sample_limit_batch(xi0, rng)
 
 
+def _drift_chunk(x0, rng, size) -> np.ndarray:
+    """One limit step from each of `size` starts at x0."""
+    return limit_chain.sample_limit_batch(np.full(size, x0), rng)
+
+
 def c08_limit_stationarity(seed: int) -> CriterionResult:
     total = 10**6
     xi1 = np.concatenate([p[1] for p in _map_chunks(
@@ -408,9 +421,8 @@ def c08_limit_stationarity(seed: int) -> CriterionResult:
     passed = passed and rep.passed
 
     for idx, x0 in enumerate((0.0, 1.0, 5.0)):
-        def cond(rng, size, x0=x0):
-            return limit_chain.sample_limit_batch(np.full(size, x0), rng)
-        draws = np.concatenate(_map_chunks(cond, total, seed, 8, 1 + idx))
+        draws = np.concatenate(_map_chunks(functools.partial(_drift_chunk, x0),
+                                           total, seed, 8, 1 + idx))
         z, ok = _mean_test(draws, (x0 + 1.0) / 2.0)
         details[f"drift_x{idx}_z"] = _round6(z)
         passed = passed and ok
@@ -422,16 +434,24 @@ def c08_limit_stationarity(seed: int) -> CriterionResult:
 # criteria 9 and 10: convergence of the rescaled chain, and tightness
 
 
+def _rescaled_chunk(steps, rng, size) -> tuple:
+    """xi at the last two states and eta at the first, on `size` paths."""
+    R, A = ra_chain.sample_paths_batch(size, steps, rng, start=(1, 2))
+    xi, eta = limit_chain.rescaled_observables(R, A, burn_in=steps - 2)
+    return xi[0], xi[1], eta[0]
+
+
+def _rank_ratio_chunk(steps, rng, size) -> np.ndarray:
+    """Sums of R/sqrt(A) over `size` paths from (1, 2), one per state."""
+    R, A = ra_chain.sample_paths_batch(size, steps, rng, start=(1, 2))
+    return (R / np.sqrt(A)).sum(axis=1)
+
+
 def c09_rescaled_convergence(seed: int) -> CriterionResult:
     total = 10**5
     steps = 26  # states 1..27; the pairs after a burn-in of 24 are at 26, 27
-
-    def chunk(rng, size):
-        R, A = ra_chain.sample_paths_batch(size, steps, rng, start=(1, 2))
-        xi, eta = limit_chain.rescaled_observables(R, A, burn_in=24)
-        return xi[0], xi[1], eta[0]
-
-    parts = _map_chunks(chunk, total, seed, 9, 0)
+    parts = _map_chunks(functools.partial(_rescaled_chunk, steps), total,
+                        seed, 9, 0)
     xi_a = np.concatenate([p[0] for p in parts])
     xi_b = np.concatenate([p[1] for p in parts])
     eta = np.concatenate([p[2] for p in parts])
@@ -464,12 +484,8 @@ def c09_rescaled_convergence(seed: int) -> CriterionResult:
 def c10_rank_tightness(seed: int) -> CriterionResult:
     total = 10**5
     steps = 29  # states 1..30
-
-    def chunk(rng, size):
-        R, A = ra_chain.sample_paths_batch(size, steps, rng, start=(1, 2))
-        return (R / np.sqrt(A)).sum(axis=1)
-
-    parts = _map_chunks(chunk, total, seed, 10, 0)
+    parts = _map_chunks(functools.partial(_rank_ratio_chunk, steps), total,
+                        seed, 10, 0)
     sums = np.zeros(steps + 1)
     for i in range(steps + 1):
         sums[i] = math.fsum(float(p[i]) for p in parts)

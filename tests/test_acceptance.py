@@ -98,14 +98,36 @@ def test_c11_construction_equivalence():
     _run(11)
 
 
-def test_c11_chunk_callables_pickle():
+# the chunk callables of every criterion that runs _map_chunks, with
+# arguments as the criterion gives them
+_CHUNK_CALLABLES = {
+    "c01-closed": functools.partial(verify._a1_chunk, False),
+    "c01-field": functools.partial(verify._a1_chunk, True),
+    "c05-rank": functools.partial(verify._rank_count_chunk, 2, 7),
+    "c05-position": functools.partial(verify._position_count_chunk, 20, 200),
+    "c06-chain": verify._chain_joint_chunk,
+    "c06-field": verify._field_joint_chunk,
+    "c08-pairs": verify._limit_pair_chunk,
+    "c08-drift": functools.partial(verify._drift_chunk, 1.0),
+    "c09": functools.partial(verify._rescaled_chunk, 26),
+    "c10": functools.partial(verify._rank_ratio_chunk, 29),
+    **{f"c11-{name}": functools.partial(verify._mrca_chunk, build)
+       for name, build in verify._MRCA_ROUTES.items()},
+}
+
+
+def test_chunk_callables_pickle():
     # a process pool ships each chunk callable by reference: unpickled, it
-    # is the same builder and gives the same MRCA times on the same stream
-    for build in verify._MRCA_ROUTES.values():
-        chunk = functools.partial(verify._mrca_chunk, build)
+    # is the same function with the same arguments, and gives the same
+    # output on the same stream
+    for name, chunk in _CHUNK_CALLABLES.items():
         copy = pickle.loads(pickle.dumps(chunk))
-        assert copy.args == (build,)
-        assert np.array_equal(copy(stream(0, 11, 0), 5), chunk(stream(0, 11, 0), 5))
+        if isinstance(chunk, functools.partial):
+            assert (copy.func, copy.args) == (chunk.func, chunk.args), name
+        else:
+            assert copy is chunk, name
+        np.testing.assert_equal(copy(stream(0, 11, 0), 5),
+                                chunk(stream(0, 11, 0), 5), err_msg=name)
 
 
 def test_c12_report_determinism(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqcoal import ra_chain, verify
+from seqcoal import limit_chain, ra_chain, verify
 from seqcoal.numerics import log_gamma_diff
 from seqcoal.ra_chain import (RAState, a_pmf, a_pmf_exact, a_pmf_vector,
                               a_tail, a_tail_exact, r_pmf, r_pmf_exact,
@@ -136,6 +136,48 @@ def test_step_arguments_are_whole_numbers(call):
         assert _types(got) == _types(want)
     with pytest.raises(ValueError, match="whole number"):
         call(st, 2.5)
+
+
+_R6 = np.arange(1.0, 7.0)  # a 1-D path of six states for the burn-in row
+
+# Every count argument of ra_chain and limit_chain: (id, name, minimum,
+# the call with that argument set to v and the others fixed)
+_COUNT_CALLS = [
+    ("r_pmf_vector-max_x", "max_x", 0, lambda v: r_pmf_vector(1, 5, max_x=v)),
+    ("r_tail_vector-max_x", "max_x", 0, lambda v: r_tail_vector(1, 5, max_x=v)),
+    ("a_pmf_vector-max_y", "max_y", 0, lambda v: a_pmf_vector(1, 5, 3, v)),
+    ("urn_oracle_a-y_cutoff", "y_cutoff", 1,
+     lambda v: urn_oracle_a(RAState(1, 5), 3, v)),
+    ("sample_paths_batch-num_paths", "num_paths", 0,
+     lambda v: sample_paths_batch(v, 2, stream(29, 4))),
+    ("sample_paths_batch-steps", "steps", 0,
+     lambda v: sample_paths_batch(2, v, stream(29, 4))),
+    ("sample_r_next_batch-size", "size", 0,
+     lambda v: sample_r_next_batch(1, 5, stream(29, 5), v)),
+    ("sample_a1-size", "size", 0, lambda v: sample_a1(stream(29, 6), v)),
+    ("WnLaw.build-n", "n", 1, limit_chain.WnLaw.build),
+    ("wn_pmf_float-n", "n", 1, limit_chain._wn_pmf_float),
+    ("wn_log_pmf-n", "n", 1, lambda v: limit_chain.wn_log_pmf(v, [1, 2, 3])),
+    ("wn_local_limit_error-n", "n", 1,
+     lambda v: limit_chain.wn_local_limit_error(v, [0.5, 1.0])),
+    ("rescaled_observables-burn_in", "burn_in", 0,
+     lambda v: limit_chain.rescaled_observables(_R6, _R6 + 2.0, burn_in=v)),
+]
+
+
+@pytest.mark.parametrize("name,low,call", [c[1:] for c in _COUNT_CALLS],
+                         ids=[c[0] for c in _COUNT_CALLS])
+def test_count_arguments_are_whole_numbers(name, low, call):
+    # one whole-number rule for every count: 3, np.int64(3) and 3.0 give
+    # the same result, and a fraction, NaN, inf or a count below its
+    # minimum raises ValueError naming the argument and the minimum
+    want = call(3)
+    for v in (np.int64(3), 3.0):
+        np.testing.assert_equal(call(v), want)
+    for bad in (2.5, math.nan, math.inf, low - 1):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a whole number >= {low}$"):
+            call(bad)
 
 
 # --- the first record -------------------------------------------------------
@@ -866,6 +908,12 @@ def test_float_continuation_stops_at_its_limit(monkeypatch):
         sample_r_next(RAState(1.0, 1e307), ScriptedRNG(tiny))
     with pytest.raises(OverflowError):
         sample_a_next(RAState(1.0, 1e307), 2.0, ScriptedRNG(tiny))
+    # past the float range both scalar samplers raise the same error, before
+    # converting the position to a float
+    with pytest.raises(OverflowError, match="position above"):
+        sample_r_next(RAState(1, 10**309), ScriptedRNG(tiny))
+    with pytest.raises(OverflowError, match="position above"):
+        sample_a_next(RAState(1, 10**309), 2, ScriptedRNG(tiny))
     with pytest.raises(OverflowError):
         sample_paths_batch(4, 3, stream(27, 3), start=(1, 1e307))
     # from 1e290 the chain runs until a passes 1e300, with no stalled rank
