@@ -16,7 +16,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .ra_chain import RAState
+from .ra_chain import RAState, _whole
 from .streams import exp_inverse
 
 __all__ = [
@@ -121,8 +121,9 @@ class StickField:
         self._heights = np.cumsum(holds[::-1])[::-1] + 2.0 / K
 
     def stick_height(self, j: int) -> float:
+        j = _whole("j", j, 1)
         self.ensure_heights()
-        if j < 1 or j > self._heights.shape[0]:
+        if j > self._heights.shape[0]:
             raise ValueError("height index out of the materialized range")
         return float(self._heights[j - 1])
 
@@ -130,7 +131,7 @@ class StickField:
         """How many sticks stand at height >= t.  Heights decrease with the
         index, so these are exactly sticks 1..m."""
         self.ensure_heights()
-        if t <= self._heights[-1]:
+        if not t > self._heights[-1]:
             raise ValueError(
                 "time below the resolved height floor; lower height_tol")
         return int(np.searchsorted(-self._heights, -t, side="right"))
@@ -141,8 +142,7 @@ def partition_at(field: StickField, t: float, n: int) -> list:
     list of frozensets sorted by their minima."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("need a finite time >= 0")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _whole("n", n, 1)
     if t == 0.0:
         # Every stick separates at time zero.
         return [frozenset({i}) for i in range(1, n + 1)]
@@ -181,16 +181,14 @@ def identify_ra(field: StickField, max_pairs: int, *,
     individuals half a block at a time, and a hunt reads individuals only
     up to the last request, so the blocks a field draws depend on its hunts
     alone, also after a skipped value.  Returns up to max_pairs states;
-    hitting either cap returns the pairs certified so far (a censored
-    prefix).
+    hitting either cap returns the pairs certified so far, a censored
+    prefix.  max_pairs and the caps given are whole numbers >= 1.
     """
-    if max_pairs < 1:
-        raise ValueError("need max_pairs >= 1")
-    for cap in (max_individuals, max_sticks):
-        if cap is not None and cap < 1:
-            raise ValueError("need max_individuals and max_sticks >= 1")
-    indiv_cap = math.inf if max_individuals is None else max_individuals
-    stick_cap = math.inf if max_sticks is None else max_sticks
+    max_pairs = _whole("max_pairs", max_pairs, 1)
+    indiv_cap = (math.inf if max_individuals is None
+                 else _whole("max_individuals", max_individuals, 1))
+    stick_cap = (math.inf if max_sticks is None
+                 else _whole("max_sticks", max_sticks, 1))
     sticks: list = []  # planted stick locations, sorted
     individuals: list = []  # individuals planted before this hunt, sorted
     planted = hunted = 0  # sticks and individuals planted so far
@@ -255,8 +253,8 @@ def batch_first_record(replicates: int, rng: np.random.Generator,
     rows of about _FIRST_RECORD_BLOCK values: the same values in the same
     order as one draw, so memory does not grow with `replicates`.
     """
-    if cap < 2:
-        raise ValueError("need cap >= 2")
+    replicates = _whole("replicates", replicates, 0)
+    cap = _whole("cap", cap, 2)
     u = rng.random(replicates)
     first = np.empty(replicates, dtype=np.int64)
     rows = max(1, _FIRST_RECORD_BLOCK // cap)

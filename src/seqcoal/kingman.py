@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ra_chain import _whole
 from .streams import _nonzero_list, nonzero_uniform
 
 __all__ = [
@@ -53,9 +54,9 @@ class Trajectory:
     view: a fresh list of TrajectoryEvent, made only when it is read.
     Equality compares n and the three lists.
 
-    `Trajectory(n, events)` validates the events it is given; the builders
-    of this module fill the lists directly and skip that, since their output
-    is valid by construction.
+    `Trajectory(n, events)` takes a whole n >= 1 and validates its events;
+    the builders of this module fill the lists directly and skip that,
+    since their output is valid by construction.
     """
 
     n: int
@@ -65,15 +66,13 @@ class Trajectory:
 
     def __init__(self, n: int, events=()):
         events = list(events)
-        self.n = n
+        self.n = _whole("n", n, 1)
         self.times = [ev.time for ev in events]
         self.block_a = [ev.block_a for ev in events]
         self.block_b = [ev.block_b for ev in events]
         self.validate()
 
     def validate(self):
-        if self.n < 1:
-            raise ValueError("need at least one individual")
         if not len(self.times) == len(self.block_a) == len(self.block_b):
             raise ValueError("event times and labels differ in length")
         if len(self.times) > self.n - 1:
@@ -119,8 +118,7 @@ class PeblsSequence:
     lengths: list
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        self.n_max = _whole("n_max", self.n_max, 1)
         if len(self.lengths) != self.n_max - 1:
             raise ValueError("expected one length per individual 2..n_max")
         for v in self.lengths:
@@ -141,8 +139,7 @@ def simulate_kingman(n: int, rng: np.random.Generator) -> Trajectory:
     floating tie with the previous event time (possible only by underflow)
     is redrawn from the generator after the block.
     """
-    if n < 1:
-        raise ValueError("need at least one individual")
+    n = _whole("n", n, 1)
     roots = list(range(1, n + 1))  # live block labels, ascending
     t = 0.0
     times, block_a, block_b = [], [], []
@@ -252,8 +249,7 @@ def build_pebls(n_max: int, rng: np.random.Generator) -> tuple:
     uniforms on (0, 1), and runs the hazard scan, the tie redraw and the
     merge of extend_recursive.  So on one stream it draws what n_max - 1
     calls of extend_recursive draw."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _whole("n_max", n_max, 1)
     times, block_a, block_b, lengths = [], [], [], []
     _add_individuals(times, block_a, block_b, 1,
                      _nonzero_list(rng, 2 * (n_max - 1)), lengths, rng)

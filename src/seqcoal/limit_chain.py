@@ -83,6 +83,7 @@ class WnLaw:
         return cls(n, weights, normalizer)
 
     def pmf_exact(self, k: int) -> Fraction:
+        k = _whole("k", k)
         if k < 0 or k > self.n:
             return Fraction(0)
         return Fraction(self.weights[k], self.normalizer)

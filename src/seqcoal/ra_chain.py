@@ -6,13 +6,14 @@ a - r >= 1 always.  Closed-form pmfs and tails are available in two algebraic
 forms, with independent urn-process oracles in exact rational arithmetic for
 cross-checking, and exact inverse-CDF samplers.
 
-Every count and step argument takes one whole-number rule (_whole): an int
-or a numpy integer passes, a whole float becomes a Python int, and anything
-else, or a count below its minimum, raises ValueError.  Scalar law
-evaluation takes an RAState, which stores Python ints, so it computes on
-exact integers and returns Python floats or Fractions; the bulk kernels (the
-_vector and _batch functions) take raw (r, a) coordinates, whole floats
-included, so callers can tabulate without building state objects in a loop.
+Every count, index and step argument of the package takes one whole-number
+rule (_whole): an int or a numpy integer passes, a whole float becomes a
+Python int, and anything else, or a count below its minimum, raises
+ValueError.  Scalar law evaluation takes an RAState, which stores Python ints,
+so it computes on exact integers and returns Python floats or Fractions; the
+bulk kernels (the _vector and _batch functions) take raw (r, a) coordinates,
+whole floats included, so callers can tabulate without building state objects
+in a loop.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def _is_whole(v) -> bool:
 
 
 def _whole(name, v, low=None) -> int:
-    """A count or step argument as a Python int: an int passes on one type
-    test, a numpy integer or a whole float becomes an int, and anything
-    else, or a value below low, raises ValueError."""
+    """A count, index or step argument of any module as a Python int: an
+    int passes on one type test, a numpy integer or a whole float becomes
+    an int, and anything else, or a value below low, raises ValueError."""
     if type(v) is int:
         if low is None or v >= low:
             return v

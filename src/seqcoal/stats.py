@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
+from .ra_chain import _whole
+
 __all__ = [
     "TestReport",
     "RecordExtraction",
@@ -207,6 +209,7 @@ def extract_records(values, *, first_index=2, ranks=None,
     """
     if not gamma > 0:
         raise ValueError("gamma must be > 0")
+    first_index = _whole("first_index", first_index, 1)
     vals = list(values)
     n_vals = len(vals)
     if n_vals == 0:

@@ -160,6 +160,9 @@ def test_heights_strictly_decreasing_and_positive():
         field.stick_height(h.shape[0] + 1)
     with pytest.raises(ValueError):
         field.count_at_least(h[-1] / 2)
+    # NaN is below no height, so it must not count every stick
+    with pytest.raises(ValueError, match="height floor"):
+        field.count_at_least(math.nan)
 
 
 def test_height_means_match_two_over_j():
@@ -192,7 +195,8 @@ def test_partition_at_time_zero_is_singletons():
 
 def test_partition_at_and_identify_ra_reject_bad_sizes():
     for t, n, message in ((-1.0, 3, "finite time"), (math.inf, 3, "finite time"),
-                          (math.nan, 3, "finite time"), (1.0, 0, "n >= 1")):
+                          (math.nan, 3, "finite time"),
+                          (1.0, 0, "^n must be a whole number >= 1$")):
         with pytest.raises(ValueError, match=message):
             partition_at(_figure_field(), t, n)
     for max_pairs in (0, -2):

@@ -251,6 +251,15 @@ def test_wn_at_n_one(capsys):
     assert all(math.floor(v) == 1 for v in s)
 
 
+def test_wn_past_the_exact_weight_cap(capsys):
+    # wn writes the float pmf, which needs no exact weights, at any n
+    rc, out, err = run_cli(capsys, "wn", "--n", "20000")
+    assert (rc, err) == (0, "")
+    rows = [ln for ln in out.splitlines() if ln.startswith("pmf,")]
+    assert len(rows) == 20001
+    assert rows[-1].startswith("pmf,20000,")
+
+
 def test_pmf_rank_frozen_rows(capsys):
     rc, out, _ = run_cli(capsys, "pmf", "--r", "1", "--a", "3")
     assert rc == 0

@@ -403,7 +403,7 @@ def test_trajectory_rejects_bad_labels():
 
 def test_trajectory_and_pebls_reject_malformed_input():
     ev = TrajectoryEvent
-    with pytest.raises(ValueError, match="at least one individual"):
+    with pytest.raises(ValueError, match="^n must be a whole number >= 1$"):
         Trajectory(0)
     with pytest.raises(ValueError, match="more events"):
         Trajectory(2, [ev(0.5, 1, 2), ev(1.0, 1, 2)])
@@ -423,6 +423,15 @@ def test_trajectory_and_pebls_reject_malformed_input():
                                     (3, [0.5, 0.5], "duplicate")):
         with pytest.raises(ValueError, match=message):
             PeblsSequence(n_max, lengths)
+
+
+def test_sizes_are_stored_as_python_ints():
+    # a numpy integer or a whole float is stored as a Python int, as
+    # RAState stores its coordinates
+    pebls, traj = build_pebls(np.int64(3), stream(37, 2))
+    for v in (simulate_kingman(np.int64(3), stream(37, 3)).n, traj.n,
+              pebls.n_max, PeblsSequence(2.0, [1.0]).n_max):
+        assert type(v) is int
 
 
 def test_builders_reject_empty_and_incomplete_trajectories():

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from seqcoal import limit_chain, ra_chain, verify
+from seqcoal.aldous import (StickField, batch_first_record, identify_ra,
+                            partition_at)
+from seqcoal.kingman import (PeblsSequence, Trajectory, build_pebls,
+                             simulate_kingman)
 from seqcoal.numerics import log_gamma_diff
 from seqcoal.ra_chain import (RAState, a_pmf, a_pmf_exact, a_pmf_vector,
                               a_tail, a_tail_exact, r_pmf, r_pmf_exact,
@@ -15,7 +19,7 @@ from seqcoal.ra_chain import (RAState, a_pmf, a_pmf_exact, a_pmf_vector,
                               sample_a1, sample_a_next, sample_paths_batch,
                               sample_r_next, sample_r_next_batch, urn_oracle_a,
                               urn_oracle_r)
-from seqcoal.stats import chi2_gof, ks_one_sample
+from seqcoal.stats import chi2_gof, extract_records, ks_one_sample
 from seqcoal.streams import nonzero_uniform, stream
 
 
@@ -140,8 +144,8 @@ def test_step_arguments_are_whole_numbers(call):
 
 _R6 = np.arange(1.0, 7.0)  # a 1-D path of six states for the burn-in row
 
-# Every count argument of ra_chain and limit_chain: (id, name, minimum,
-# the call with that argument set to v and the others fixed)
+# Every count and index argument of the package: (id, name, minimum or
+# None, the call with that argument set to v and the others fixed)
 _COUNT_CALLS = [
     ("r_pmf_vector-max_x", "max_x", 0, lambda v: r_pmf_vector(1, 5, max_x=v)),
     ("r_tail_vector-max_x", "max_x", 0, lambda v: r_tail_vector(1, 5, max_x=v)),
@@ -162,6 +166,27 @@ _COUNT_CALLS = [
      lambda v: limit_chain.wn_local_limit_error(v, [0.5, 1.0])),
     ("rescaled_observables-burn_in", "burn_in", 0,
      lambda v: limit_chain.rescaled_observables(_R6, _R6 + 2.0, burn_in=v)),
+    ("WnLaw.pmf_exact-k", "k", None, limit_chain.WnLaw.build(5).pmf_exact),
+    ("simulate_kingman-n", "n", 1, lambda v: simulate_kingman(v, stream(29, 7))),
+    ("build_pebls-n_max", "n_max", 1, lambda v: build_pebls(v, stream(29, 8))),
+    ("Trajectory-n", "n", 1, Trajectory),
+    ("PeblsSequence-n_max", "n_max", 1, lambda v: PeblsSequence(v, [1.0, 2.0])),
+    ("identify_ra-max_pairs", "max_pairs", 1,
+     lambda v: identify_ra(StickField(stream(29, 13)), v)),
+    ("identify_ra-max_individuals", "max_individuals", 1,
+     lambda v: identify_ra(StickField(stream(29, 13)), 3, max_individuals=v)),
+    ("identify_ra-max_sticks", "max_sticks", 1,
+     lambda v: identify_ra(StickField(stream(29, 13)), 3, max_sticks=v)),
+    ("batch_first_record-replicates", "replicates", 0,
+     lambda v: batch_first_record(v, stream(29, 10), 51)),
+    ("batch_first_record-cap", "cap", 2,
+     lambda v: batch_first_record(4, stream(29, 10), v)),
+    ("partition_at-n", "n", 1,
+     lambda v: partition_at(StickField(stream(29, 11), height_tol=1e-2), 0.5, v)),
+    ("stick_height-j", "j", 1,
+     lambda v: StickField(stream(29, 12), height_tol=1e-2).stick_height(v)),
+    ("extract_records-first_index", "first_index", 1,
+     lambda v: extract_records([0.5, 2.0, 1.0], first_index=v)),
 ]
 
 
@@ -174,9 +199,11 @@ def test_count_arguments_are_whole_numbers(name, low, call):
     want = call(3)
     for v in (np.int64(3), 3.0):
         np.testing.assert_equal(call(v), want)
-    for bad in (2.5, math.nan, math.inf, low - 1):
+    suffix = "" if low is None else f" >= {low}"
+    below = () if low is None else (low - 1,)
+    for bad in (2.5, math.nan, math.inf) + below:
         with pytest.raises(ValueError,
-                           match=f"^{name} must be a whole number >= {low}$"):
+                           match=f"^{name} must be a whole number{suffix}$"):
             call(bad)
 
 
