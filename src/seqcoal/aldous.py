@@ -16,8 +16,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from .ra_chain import RAState, _whole
-from .streams import exp_inverse
+from .ra_chain import RAState
+from .streams import _whole, exp_inverse
 
 __all__ = [
     "StickField",

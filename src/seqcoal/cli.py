@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import aldous, kingman, limit_chain, ra_chain, verify
-from .streams import exp_inverse, stream
+from .streams import _whole, exp_inverse, stream
 
 # Subcommand namespaces for seed derivation; verify owns 1..11 internally.
 _NS_SIMULATE = 21
@@ -48,14 +48,7 @@ def _write_json(args, payload) -> int:
     return 0
 
 
-def _at_least_one(flag: str, count: int):
-    """Reject a count below 1, which would write no rows at all."""
-    if count < 1:
-        raise ValueError(f"--{flag} must be >= 1")
-
-
 def _cmd_simulate(args) -> int:
-    _at_least_one("replicates", args.replicates)
     trajs = [kingman.simulate_kingman(args.n, stream(args.seed, _NS_SIMULATE, rep))
              for rep in range(args.replicates)]
     merges = [list(zip(t.times, t.block_a, t.block_b)) for t in trajs]
@@ -70,7 +63,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pebls(args) -> int:
-    _at_least_one("replicates", args.replicates)
     lengths = [kingman.build_pebls(args.n, stream(args.seed, _NS_PEBLS, rep))[0].lengths
                for rep in range(args.replicates)]
     if args.format == "json":
@@ -95,9 +87,6 @@ def _exact_ints(X: np.ndarray) -> list:
 def _kept_states(args) -> np.ndarray:
     """Indices of the states written out, --burn-in through --steps, for
     --paths paths."""
-    _at_least_one("paths", args.paths)
-    if args.steps < 0 or args.burn_in < 0:
-        raise ValueError("--steps and --burn-in must be >= 0")
     if args.burn_in > args.steps:
         raise ValueError("--burn-in must be <= --steps")
     return np.arange(args.burn_in, args.steps + 1)
@@ -124,7 +113,6 @@ def _cmd_ra_sample(args) -> int:
 
 
 def _cmd_ra_extract(args) -> int:
-    _at_least_one("replicates", args.replicates)
     pairs = [aldous.identify_ra(aldous.StickField(stream(args.seed, _NS_RA_EXTRACT, rep)),
                                 args.n)
              for rep in range(args.replicates)]
@@ -168,7 +156,6 @@ def _cmd_wn(args) -> int:
 
 
 def _cmd_pmf(args) -> int:
-    _at_least_one("cutoff", args.cutoff)
     if args.kind == "rank":
         probs = ra_chain.r_pmf_vector(args.r, args.a,
                                       max_x=args.cutoff).tolist()
@@ -208,7 +195,9 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="seqcoal",
         description="Coalescent record-chain simulation and verification")
@@ -276,15 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing keeps no state in it."""
-    return build_parser()
+# Every integer flag and its minimum; a count below 1 would write no rows
+_INT_FLAGS = {"seed": 0, "replicates": 1, "n": 1, "paths": 1, "cutoff": 1,
+              "steps": 0, "burn_in": 0}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for dest, low in _INT_FLAGS.items():
+            if hasattr(args, dest):
+                _whole("--" + dest.replace("_", "-"), getattr(args, dest), low)
         return args.fn(args)
     except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

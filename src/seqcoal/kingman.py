@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ra_chain import _whole
-from .streams import _nonzero_list, nonzero_uniform
+from .streams import _nonzero_list, _whole, nonzero_uniform
 
 __all__ = [
     "TrajectoryEvent",

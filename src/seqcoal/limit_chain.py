@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ra_chain import _log_r_tail, _rank_pmf, _whole
-from .streams import exp_inverse
+from .ra_chain import _log_r_tail, _rank_pmf
+from .streams import _whole, exp_inverse
 
 __all__ = [
     "sample_limit_batch",
@@ -87,10 +87,6 @@ class WnLaw:
         if k < 0 or k > self.n:
             return Fraction(0)
         return Fraction(self.weights[k], self.normalizer)
-
-    def pmf_float(self) -> np.ndarray:
-        """Whole pmf in doubles for k = 0..n (see _wn_pmf_float)."""
-        return _wn_pmf_float(self.n)
 
 
 def _wn_pmf_float(n: int) -> np.ndarray:

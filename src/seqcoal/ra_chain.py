@@ -6,14 +6,13 @@ a - r >= 1 always.  Closed-form pmfs and tails are available in two algebraic
 forms, with independent urn-process oracles in exact rational arithmetic for
 cross-checking, and exact inverse-CDF samplers.
 
-Every count, index and step argument of the package takes one whole-number
-rule (_whole): an int or a numpy integer passes, a whole float becomes a
-Python int, and anything else, or a count below its minimum, raises
-ValueError.  Scalar law evaluation takes an RAState, which stores Python ints,
-so it computes on exact integers and returns Python floats or Fractions; the
-bulk kernels (the _vector and _batch functions) take raw (r, a) coordinates,
-whole floats included, so callers can tabulate without building state objects
-in a loop.
+Every count, index and step argument, and each state coordinate, takes the
+package's one whole-number rule (streams._whole): r >= 1 and a >= r + 1.
+Scalar law evaluation takes an RAState, which stores Python ints, so it
+computes on exact integers and returns Python floats or Fractions; the bulk
+kernels (the _vector and _batch functions) take raw (r, a) coordinates and
+compute on them as given, whole floats included, so callers can tabulate
+without building state objects in a loop.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import log_gamma_diff
-from .streams import nonzero_uniform
+from .streams import _whole, nonzero_uniform
 
 __all__ = [
     "RAState",
@@ -77,10 +76,6 @@ _CUMPROD_MIN = 64
 _CUMPROD_BLOCK = 2**16
 
 
-# Types whose values are whole numbers; _is_whole passes them on type.
-_WHOLE = (int, np.integer)
-
-
 @dataclass
 class RAState:
     """One record: rank r of the record length, position a of its holder,
@@ -91,38 +86,14 @@ class RAState:
     a: int
 
     def __post_init__(self):
-        _check_state(self.r, self.a)
-        self.r, self.a = int(self.r), int(self.a)
+        self.r, self.a = _check_state(self.r, self.a)
 
 
-def _is_whole(v) -> bool:
-    """The one whole-number rule: ints of any size and numpy integers pass
-    on their type; anything else must be a finite, integral float."""
-    return isinstance(v, _WHOLE) or float(v).is_integer()
-
-
-def _whole(name, v, low=None) -> int:
-    """A count, index or step argument of any module as a Python int: an
-    int passes on one type test, a numpy integer or a whole float becomes
-    an int, and anything else, or a value below low, raises ValueError."""
-    if type(v) is int:
-        if low is None or v >= low:
-            return v
-    elif _is_whole(v) and (low is None or v >= low):
-        return int(v)
-    raise ValueError(f"{name} must be a whole number"
-                     + ("" if low is None else f" >= {low}"))
-
-
-def _check_state(r, a):
-    """ValueError unless (r, a) is a state of the chain: both whole numbers
-    (_is_whole), r >= 1 and a - r >= 1."""
-    if not (_is_whole(r) and _is_whole(a)):
-        raise ValueError("rank and position must be whole numbers")
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    if a - r < 1:
-        raise ValueError("need a - r >= 1")
+def _check_state(r, a) -> tuple:
+    """(r, a) as Python ints; ValueError unless it is a state of the chain:
+    whole numbers (_whole) with r >= 1 and a >= r + 1."""
+    r = _whole("r", r, 1)
+    return r, _whole("a", a, r + 1)
 
 
 def sample_a1(rng: np.random.Generator, size: int | None = None):
@@ -306,13 +277,9 @@ def _invert_rank(r, a, log_u):
     take x = 1 and the others go to _invert_open, gathered only when some
     lane is forced.  The tail is good to a few ulps of its value for every
     a up to _FLOAT_LIMIT, so the draw is the exact inverse whenever u is
-    further than that from a tail value.  Raises OverflowError if some a is
-    above _FLOAT_LIMIT or not a number.
+    further than that from a tail value.  Every a must be at most
+    _FLOAT_LIMIT: both callers check it before the call.
     """
-    if np.count_nonzero(a <= _FLOAT_LIMIT) < a.size:
-        raise OverflowError(
-            f"position above {_FLOAT_LIMIT:g}: past the floating-point "
-            "continuation of the record chain")
     max_x = a - r
     open_ = max_x > 1.0
     count = np.count_nonzero(open_)
@@ -509,7 +476,7 @@ def a_pmf_vector(r, a, r_next, max_y: int) -> np.ndarray:
     r_next = _rank_step(RAState(r, a), r_next)
     max_y = _whole("max_y", max_y, 0)
     c = a + r_next
-    if isinstance(c, _WHOLE) and float(c) != c:
+    if isinstance(c, (int, np.integer)) and float(c) != c:
         cy = (np.arange(1, max_y + 1, dtype=object) + int(c)).astype(float)
     else:
         cy = float(c) + np.arange(1, max_y + 1, dtype=float)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
-from .ra_chain import _whole
+from .streams import _whole
 
 __all__ = [
     "TestReport",

@@ -1,7 +1,15 @@
-"""Deterministic random-stream derivation and shared sampling helpers.
+"""Deterministic random-stream derivation, shared sampling helpers, and the
+package's one whole-number rule.
 
 Every replicate, chunk, and subcommand owns a generator derived from the
 master seed and a fixed integer path, so output depends only on the seed.
+
+Every integer argument of the package, and every integer flag of the CLI,
+takes one rule (_whole): an int or a numpy integer passes, an integral real
+number (a float, numpy float or Fraction) becomes a Python int, and anything
+else (a string, None, a fraction, NaN, inf), or a value below its minimum,
+raises ValueError.  This module imports nothing from the package, so every
+other module takes the rule from here.
 """
 
 from __future__ import annotations
@@ -11,14 +19,34 @@ import numpy as np
 __all__ = ["stream", "nonzero_uniform", "exp_inverse"]
 
 
+def _whole(name, v, low=None) -> int:
+    """An integer argument as a Python int: an int passes on one type test,
+    a numpy integer or an integral real number becomes an int, and anything
+    else, or a value below low, raises ValueError naming the argument.
+
+    A value is whole when it equals its int() conversion, so a string,
+    None, a fraction, NaN and inf all fail."""
+    if type(v) is not int:
+        try:
+            v = int(v) if int(v) == v else None
+        except (TypeError, ValueError, OverflowError):
+            v = None
+    if type(v) is int and (low is None or v >= low):
+        return v
+    raise ValueError(f"{name} must be a whole number"
+                     + ("" if low is None else f" >= {low}"))
+
+
 def stream(master_seed: int, *path: int) -> np.random.Generator:
-    """Generator for the (master_seed, *path) coordinate.
+    """Generator for the (master_seed, *path) coordinate, each a whole
+    number >= 0.
 
     SeedSequence mixes the entropy words with a counter-based hash, so
     distinct paths give statistically independent streams and the same
     path always gives the same stream.
     """
-    entropy = (int(master_seed),) + tuple(int(p) for p in path)
+    entropy = (_whole("master_seed", master_seed, 0),) + tuple(
+        _whole("path entry", p, 0) for p in path)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

@@ -130,42 +130,65 @@ def test_ra_sample_burn_in(capsys):
     assert lines[1].split(",")[1] == "4"
 
 
-@pytest.mark.parametrize("argv", [
-    ["ra-sample", "--paths", "1", "--steps", "4", "--burn-in", "-2"],
-    ["ra-sample", "--paths", "1", "--steps", "-1"],
-    ["limit", "--paths", "1", "--steps", "4", "--burn-in", "-2"],
-    ["limit", "--paths", "1", "--steps", "-1"],
+_BURN_IN_NEG = "--burn-in must be a whole number >= 0"
+_STEPS_NEG = "--steps must be a whole number >= 0"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ra-sample", "--paths", "1", "--steps", "4", "--burn-in", "-2"], _BURN_IN_NEG),
+    (["ra-sample", "--paths", "1", "--steps", "-1"], _STEPS_NEG),
+    (["limit", "--paths", "1", "--steps", "4", "--burn-in", "-2"], _BURN_IN_NEG),
+    (["limit", "--paths", "1", "--steps", "-1"], _STEPS_NEG),
 ], ids=["ra-sample-burn-in", "ra-sample-steps", "limit-burn-in", "limit-steps"])
-def test_negative_steps_or_burn_in_exit_two(capsys, argv):
+def test_negative_steps_or_burn_in_exit_two(capsys, argv, message):
     # a negative index would count back from the last state and write it
     # again under an invented index
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
-    assert err == "error: --steps and --burn-in must be >= 0\n"
+    assert err == f"error: {message}\n"
+
+
+_PATHS_0 = "--paths must be a whole number >= 1"
+_REPLICATES_0 = "--replicates must be a whole number >= 1"
+_CUTOFF_0 = "--cutoff must be a whole number >= 1"
+_N_0 = "--n must be a whole number >= 1"
+_SEED_NEG = "--seed must be a whole number >= 0"
+_SUBCOMMANDS = [["simulate"], ["pebls"], ["ra-sample"], ["ra-extract"],
+                ["limit"], ["wn"], ["pmf", "--r", "5", "--a", "40"],
+                ["verify", "--criteria", "2"]]
 
 
 @pytest.mark.parametrize("argv,message", [
     (["ra-sample", "--steps", "2", "--burn-in", "5"], "--burn-in must be <= --steps"),
     (["limit", "--steps", "2", "--burn-in", "5"], "--burn-in must be <= --steps"),
-    (["ra-sample", "--paths", "0"], "--paths must be >= 1"),
-    (["limit", "--paths", "0"], "--paths must be >= 1"),
-    (["simulate", "--replicates", "0"], "--replicates must be >= 1"),
-    (["simulate", "--replicates", "-1"], "--replicates must be >= 1"),
-    (["pebls", "--replicates", "0"], "--replicates must be >= 1"),
-    (["pebls", "--replicates", "-1"], "--replicates must be >= 1"),
-    (["ra-extract", "--replicates", "0"], "--replicates must be >= 1"),
-    (["ra-extract", "--replicates", "-1"], "--replicates must be >= 1"),
+    (["ra-sample", "--paths", "0"], _PATHS_0),
+    (["limit", "--paths", "0"], _PATHS_0),
+    (["simulate", "--replicates", "0"], _REPLICATES_0),
+    (["simulate", "--replicates", "-1"], _REPLICATES_0),
+    (["pebls", "--replicates", "0"], _REPLICATES_0),
+    (["pebls", "--replicates", "-1"], _REPLICATES_0),
+    (["ra-extract", "--replicates", "0"], _REPLICATES_0),
+    (["ra-extract", "--replicates", "-1"], _REPLICATES_0),
     (["pmf", "--r", "5", "--a", "40", "--kind", "position", "--cutoff", "0"],
-     "--cutoff must be >= 1"),
-    (["pmf", "--r", "5", "--a", "40", "--cutoff", "0"], "--cutoff must be >= 1"),
+     _CUTOFF_0),
+    (["pmf", "--r", "5", "--a", "40", "--cutoff", "0"], _CUTOFF_0),
+    (["simulate", "--n", "0"], _N_0),
+    (["pebls", "--n", "0"], _N_0),
+    (["ra-extract", "--n", "0"], _N_0),
+    (["wn", "--n", "0"], _N_0),
+    *((argv + ["--seed", "-1"], _SEED_NEG) for argv in _SUBCOMMANDS),
 ], ids=["ra-sample-burn-in-past-steps", "limit-burn-in-past-steps",
         "ra-sample-paths-0", "limit-paths-0", "simulate-replicates-0",
         "simulate-replicates-neg", "pebls-replicates-0", "pebls-replicates-neg",
         "ra-extract-replicates-0", "ra-extract-replicates-neg",
-        "pmf-position-cutoff-0", "pmf-rank-cutoff-0"])
+        "pmf-position-cutoff-0", "pmf-rank-cutoff-0", "simulate-n-0",
+        "pebls-n-0", "ra-extract-n-0", "wn-n-0",
+        *(f"{argv[0]}-seed-neg" for argv in _SUBCOMMANDS)])
 def test_empty_counts_exit_two(capsys, argv, message):
-    # each of these would write a header and no rows, or fail inside numpy
+    # each of these would write a header and no rows, fail inside numpy or
+    # name an argument that is no flag; every integer flag takes one rule,
+    # named after the flag, and a seed below 0 is no stream
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""

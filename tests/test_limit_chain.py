@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from seqcoal.limit_chain import (WnLaw, rescaled_observables,
+from seqcoal.limit_chain import (WnLaw, _wn_pmf_float, rescaled_observables,
                                  sample_limit_batch, wn_local_limit_error,
                                  wn_log_pmf)
 from seqcoal.ra_chain import RAState, sample_paths_batch, urn_oracle_r
@@ -124,7 +124,7 @@ def test_wn_build_guards():
 
 def test_wn_pmf_float_matches_exact():
     law = WnLaw.build(50)
-    floats = law.pmf_float()
+    floats = _wn_pmf_float(50)
     assert floats.shape == (51,)
     for k in range(0, 51):
         assert floats[k] == pytest.approx(float(law.pmf_exact(k)), rel=1e-12)
@@ -153,8 +153,7 @@ def test_wn_law_is_the_urn_at_rank_zero():
 
 def test_wn_log_pmf_matches_float_pmf():
     n = 1000
-    law = WnLaw.build(n)
-    floats = law.pmf_float()[1:]
+    floats = _wn_pmf_float(n)[1:]
     logs = wn_log_pmf(n, np.arange(1, n + 1))
     # the double-precision pmf underflows in the far tail; compare where it
     # is comfortably representable and require the log route to agree there

@@ -55,6 +55,14 @@ def test_state_validation():
     for r, a in ((1, 2.5), (1.5, 3), (math.nan, 5), (1, -math.inf)):
         with pytest.raises(ValueError):
             RAState(r, a)
+    # one rule with the package's counts: r is checked first, then a
+    # against r + 1, each message naming the coordinate and its minimum
+    for r, a, message in ((0, 5, "r must be a whole number >= 1"),
+                          (3, 3, "a must be a whole number >= 4"),
+                          (2.5, 5, "r must be a whole number >= 1"),
+                          (2, math.nan, "a must be a whole number >= 3")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RAState(r, a)
 
 
 def _types(value):
@@ -138,8 +146,9 @@ def test_step_arguments_are_whole_numbers(call):
         got = call(st, v)
         assert got == want
         assert _types(got) == _types(want)
-    with pytest.raises(ValueError, match="whole number"):
-        call(st, 2.5)
+    for bad in (2.5, "3", None):
+        with pytest.raises(ValueError, match="whole number"):
+            call(st, bad)
 
 
 _R6 = np.arange(1.0, 7.0)  # a 1-D path of six states for the burn-in row
@@ -187,21 +196,30 @@ _COUNT_CALLS = [
      lambda v: StickField(stream(29, 12), height_tol=1e-2).stick_height(v)),
     ("extract_records-first_index", "first_index", 1,
      lambda v: extract_records([0.5, 2.0, 1.0], first_index=v)),
+    ("stream-master_seed", "master_seed", 0, lambda v: stream(v).random(2)),
+    ("stream-path", "path entry", 0, lambda v: stream(29, v).random(2)),
 ]
 
 
-@pytest.mark.parametrize("name,low,call", [c[1:] for c in _COUNT_CALLS],
+# Rows whose argument defaults to None: no cap, or sample_a1's scalar draw
+_NONE_DEFAULTS = {"r_pmf_vector-max_x", "r_tail_vector-max_x", "sample_a1-size",
+                  "identify_ra-max_individuals", "identify_ra-max_sticks"}
+
+
+@pytest.mark.parametrize("row,name,low,call", _COUNT_CALLS,
                          ids=[c[0] for c in _COUNT_CALLS])
-def test_count_arguments_are_whole_numbers(name, low, call):
-    # one whole-number rule for every count: 3, np.int64(3) and 3.0 give
-    # the same result, and a fraction, NaN, inf or a count below its
-    # minimum raises ValueError naming the argument and the minimum
+def test_count_arguments_are_whole_numbers(row, name, low, call):
+    # one whole-number rule for every count: 3, np.int64(3), 3.0 and
+    # Fraction(3) give the same result, and a fraction, NaN, inf, a string,
+    # None (but where it is the default) or a count below its minimum
+    # raises ValueError naming the argument and the minimum
     want = call(3)
-    for v in (np.int64(3), 3.0):
+    for v in (np.int64(3), 3.0, Fraction(3)):
         np.testing.assert_equal(call(v), want)
     suffix = "" if low is None else f" >= {low}"
     below = () if low is None else (low - 1,)
-    for bad in (2.5, math.nan, math.inf) + below:
+    none = () if row in _NONE_DEFAULTS else (None,)
+    for bad in (2.5, math.nan, math.inf, "3") + none + below:
         with pytest.raises(ValueError,
                            match=f"^{name} must be a whole number{suffix}$"):
             call(bad)
@@ -922,10 +940,6 @@ def test_float_continuation_stops_at_its_limit(monkeypatch):
     # past it -a ln u or the position offset would overflow, and inf or NaN
     # would keep the search open forever; every sampler raises instead
     tiny = [2.0**-53]
-    for big in (1e307, math.inf, math.nan):
-        with pytest.raises(OverflowError):
-            ra_chain._invert_rank(np.ones(1), np.array([big]),
-                                  np.log(np.array(tiny)))
     # an infinite or NaN position is no state; 1e307 is one, and the
     # scalar samplers' own checks stop it
     for big in (math.inf, math.nan):
