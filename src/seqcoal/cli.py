@@ -80,6 +80,8 @@ def _exact_ints(X: np.ndarray) -> list:
     integer is an exact double, and floats past it, so that str() writes
     `123`, or a float's repr such as `3.3304163501621165e+17`."""
     small = X <= ra_chain._EXACT_DOUBLE
+    if np.count_nonzero(small) == X.size:
+        return X.astype(np.int64).tolist()
     ints = np.where(small, X, 0.0).astype(np.int64).astype(object)
     return np.where(small, ints, X.astype(object)).tolist()
 
@@ -157,14 +159,16 @@ def _cmd_wn(args) -> int:
 
 def _cmd_pmf(args) -> int:
     if args.kind == "rank":
+        _whole("--a", args.a, _whole("--r", args.r, 1) + 1)
         probs = ra_chain.r_pmf_vector(args.r, args.a,
                                       max_x=args.cutoff).tolist()
     else:
         # Position law after the rank step: --r is the newly attained rank,
-        # so the prior state held rank r - 1 at position a.
+        # so the prior state held rank r - 1 at position a >= r.
         if args.r < 2:
             raise ValueError("position law needs --r >= 2 (a freshly "
                              "attained rank is always at least 2)")
+        _whole("--a", args.a, args.r)
         probs = ra_chain.a_pmf_vector(args.r - 1, args.a, args.r,
                                       args.cutoff).tolist()
     if args.format == "json":

@@ -247,11 +247,18 @@ def r_tail_exact(state: RAState, x) -> Fraction:
 def _log_r_tail(r, a, x):
     """log of the rank-transition tail, stable for astronomically large a;
     at r = 0 it is the log tail of the record-value law."""
-    return log_gamma_diff(a - r, 2.0 * r + x, x - 1.0)
+    return _log_tail(a - r, 2.0 * r, x)
 
 
-def _settle(r, a, log_u, t, v):
-    """Settle the lanes whose answer is t or t + 1, given v = L(t + 1).
+def _log_tail(span, r2, x):
+    """_log_r_tail from span = a - r and r2 = 2r, to the bit: the rank
+    kernel computes both once per call."""
+    return log_gamma_diff(span, r2 + x, x - 1.0)
+
+
+def _settle(r2, ar, log_u, t, v):
+    """Settle the lanes whose answer is t or t + 1, given v = L(t + 1),
+    r2 = 2r and ar = a + r.
 
     The one-step ratio tail(y + 1) = tail(y) (a - r - y)/(a + r + y) gives
     q = ln[1 - (2r + 2t + 2s)/(a + r + t + s)], with s = 0 where v <= ln u
@@ -263,7 +270,7 @@ def _settle(r, a, log_u, t, v):
     """
     down = v <= log_u
     s = (~down).astype(float)
-    q = np.log1p(-(2.0 * r + 2.0 * t + 2.0 * s) / (a + r + t + s))
+    q = np.log1p(-(r2 + 2.0 * t + 2.0 * s) / (ar + t + s))
     hit = np.where(down, v - q > log_u, v + q <= log_u)
     return hit, t + s, down, q
 
@@ -303,32 +310,53 @@ def _invert_open(r, a, log_u, max_x):
     clipped to [1, a - r - 1].  One tail evaluation v = L(t + 1) there, with
     the one-step ratio tail(y + 1) = tail(y) (a - r - y)/(a + r + y), gives
     L(t) or L(t + 2) as well (_settle); a lane whose u falls between
-    L(t + 2) and L(t) returns t or t + 1 with no further evaluation.  That
-    settles nearly every lane once a is past a few thousand.  A lane left
-    open takes a second point: one Newton step on the log tail from the
-    first, t + floor((ln u - v)/q) with the log ratio q as its slope, which
-    moves at least one step the way the first point pointed; one more
-    evaluation there settles it the same way.  On 20 x 1563 paths of 29
-    steps from (1, 2), the first point left 4416 of 867 840 lane-steps
-    open and the second settled all of them.  On the lanes still open,
-    steps doubling away from the last point find a bracket, and bisection
-    closes it.  Every later evaluation runs on the lanes still open,
-    gathered by index.
+    L(t + 2) and L(t) returns t or t + 1 with no further evaluation.  The
+    guess leaves out the log tail's higher-order terms, which are all
+    negative, so a lane it misses usually has the answer t - 1.  Below
+    2^53, where every rank is an exact double, a lane left open on the
+    down side with t >= 2 takes one more one-step ratio, L(t - 1) =
+    L(t) - ln[1 - (2r + 2t - 2)/(a + r + t - 1)], and returns t - 1 when
+    that exceeds ln u.  Past 2^53, where not every rank is an exact
+    double, that step would move draws, so it is not taken there.  On
+    20 x 1563 paths of 29 steps and 20 x 100 paths of 30 steps from
+    (1, 2), the first point settled all 925 410 lane-steps that reached
+    it, with one evaluation each; without the t - 1 step, 4841 of them
+    took a second.  A lane still open takes a second point: one Newton
+    step on the log tail from the first, t + floor((ln u - v)/q) with the
+    log ratio q as its slope, which moves at least one step the way the
+    first point pointed; one more evaluation there settles it the same
+    way.  On the lanes still open, steps doubling away from the last
+    point find a bracket, and bisection closes it.  Every later
+    evaluation runs on the lanes still open, gathered by index.
     """
-    b = 2.0 * r + 1.0
+    r2 = 2.0 * r
+    ar = a + r
+    b = r2 + 1.0
     ae = -a * log_u
     # b * b = inf (r > 6e153) gives g = 1
     g = np.floor(1.0 + 2.0 * ae / (b + np.sqrt(b * b + 4.0 * ae)))
     t = np.minimum(np.maximum(g, 1.0), max_x - 1.0)  # the first point
-    v = _log_r_tail(r, a, t + 1.0)
+    v = _log_tail(max_x, r2, t + 1.0)
     # x takes the answers of the hit lanes; the others are set below
-    hit, x, _, q = _settle(r, a, log_u, t, v)
+    hit, x, down, q = _settle(r2, ar, log_u, t, v)
     open_ = ~hit
     if not np.count_nonzero(open_):
         return x
     idx = open_.nonzero()[0]
-    r, a, log_u, max_x, t, v, q = (w[idx] for w in (r, a, log_u, max_x, t,
-                                                     v, q))
+    r2, ar, a, log_u, max_x, t, v, q, down = (
+        w[idx] for w in (r2, ar, a, log_u, max_x, t, v, q, down))
+    # t - 1 from the first point: L(t - 1) = L(t) - q', with L(t) = v - q
+    # as _settle compared it
+    below = t - 1.0
+    q1 = np.log1p(-(r2 + 2.0 * below) / (ar + below))
+    hit = down & (t >= 2.0) & (a < _EXACT_DOUBLE) & ((v - q) - q1 > log_u)
+    if np.count_nonzero(hit):
+        x[idx[hit]] = below[hit]
+        keep = (~hit).nonzero()[0]
+        if not keep.size:
+            return x
+        idx, r2, ar, log_u, max_x, t, v, q = (
+            w[keep] for w in (idx, r2, ar, log_u, max_x, t, v, q))
     # the second point; a lane whose Newton step is not finite (q rounded
     # to 0) stays at t, where v is known
     newton = np.floor((log_u - v) / q)
@@ -336,15 +364,15 @@ def _invert_open(r, a, log_u, max_x):
     if np.count_nonzero(moved):
         t = np.where(moved, np.minimum(np.maximum(t + newton, 1.0),
                                        max_x - 1.0), t)
-        v[moved] = _log_r_tail(r[moved], a[moved], t[moved] + 1.0)
-    hit, answer, down, _ = _settle(r, a, log_u, t, v)
+        v[moved] = _log_tail(max_x[moved], r2[moved], t[moved] + 1.0)
+    hit, answer, down, _ = _settle(r2, ar, log_u, t, v)
     x[idx[hit]] = answer[hit]
     open_ = ~hit
     if not np.count_nonzero(open_):
         return x
     keep = open_.nonzero()[0]
-    idx, r, a, log_u, max_x, t, down = (
-        w[keep] for w in (idx, r, a, log_u, max_x, t, down))
+    idx, r2, max_x, log_u, t, down = (
+        w[keep] for w in (idx, r2, max_x, log_u, t, down))
     # the lanes left have L(t) <= ln u (down) or L(t + 2) > ln u (up): the
     # gallop's first move, to t - 1 or t + 1, is already evaluated
     t = np.where(down, t - 1.0, t + 1.0)
@@ -372,10 +400,10 @@ def _invert_open(r, a, log_u, max_x):
             keep = ~done
             if not np.count_nonzero(keep):
                 return x
-            idx, r, a, log_u = idx[keep], r[keep], a[keep], log_u[keep]
+            idx, r2, max_x, log_u = idx[keep], r2[keep], max_x[keep], log_u[keep]
             t, lo, hi, step, down = (t[keep], lo[keep], hi[keep], step[keep],
                                      down[keep])
-        cond = _log_r_tail(r, a, t + 1.0) <= log_u
+        cond = _log_tail(max_x, r2, t + 1.0) <= log_u
 
 
 def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
@@ -385,8 +413,10 @@ def sample_r_next(state: RAState, rng: np.random.Generator) -> int:
 
     For a <= 1e6 the support is scanned with the sequential ratio recursion
     tail(x+1) = tail(x) (a-r-x)/(a+r+x).  Beyond, the guided inversion of
-    _invert_rank runs on one lane, usually with one log tail evaluation; the
-    log tail is good to a few ulps up to a = 1e300, so the draw is exact
+    _invert_rank runs on one lane, with one log tail evaluation whenever
+    the answer lies within one rank of its closed-form guess (one rank
+    below only up to 2^53), which covers nearly every draw; the log tail
+    is good to a few ulps up to a = 1e300, so the draw is exact
     unless u lies within that rounding of a tail value.  Past 2^53 it
     searches over float-representable x only, and r + x is the exact
     integer sum.  A position above 1e300 raises OverflowError.

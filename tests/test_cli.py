@@ -154,6 +154,8 @@ _REPLICATES_0 = "--replicates must be a whole number >= 1"
 _CUTOFF_0 = "--cutoff must be a whole number >= 1"
 _N_0 = "--n must be a whole number >= 1"
 _SEED_NEG = "--seed must be a whole number >= 0"
+_POSITION_R = ("position law needs --r >= 2 (a freshly attained rank is "
+               "always at least 2)")
 _SUBCOMMANDS = [["simulate"], ["pebls"], ["ra-sample"], ["ra-extract"],
                 ["limit"], ["wn"], ["pmf", "--r", "5", "--a", "40"],
                 ["verify", "--criteria", "2"]]
@@ -178,13 +180,21 @@ _SUBCOMMANDS = [["simulate"], ["pebls"], ["ra-sample"], ["ra-extract"],
     (["ra-extract", "--n", "0"], _N_0),
     (["wn", "--n", "0"], _N_0),
     *((argv + ["--seed", "-1"], _SEED_NEG) for argv in _SUBCOMMANDS),
+    (["pmf", "--r", "0", "--a", "5"], "--r must be a whole number >= 1"),
+    (["pmf", "--r", "5", "--a", "5"], "--a must be a whole number >= 6"),
+    (["pmf", "--r", "1", "--a", "1"], "--a must be a whole number >= 2"),
+    (["pmf", "--r", "0", "--a", "5", "--kind", "position"], _POSITION_R),
+    (["pmf", "--r", "3", "--a", "2", "--kind", "position"],
+     "--a must be a whole number >= 3"),
 ], ids=["ra-sample-burn-in-past-steps", "limit-burn-in-past-steps",
         "ra-sample-paths-0", "limit-paths-0", "simulate-replicates-0",
         "simulate-replicates-neg", "pebls-replicates-0", "pebls-replicates-neg",
         "ra-extract-replicates-0", "ra-extract-replicates-neg",
         "pmf-position-cutoff-0", "pmf-rank-cutoff-0", "simulate-n-0",
         "pebls-n-0", "ra-extract-n-0", "wn-n-0",
-        *(f"{argv[0]}-seed-neg" for argv in _SUBCOMMANDS)])
+        *(f"{argv[0]}-seed-neg" for argv in _SUBCOMMANDS),
+        "pmf-rank-r-0", "pmf-rank-a-5-at-r-5", "pmf-rank-a-1-at-r-1",
+        "pmf-position-r-0", "pmf-position-a-2-at-r-3"])
 def test_empty_counts_exit_two(capsys, argv, message):
     # each of these would write a header and no rows, fail inside numpy or
     # name an argument that is no flag; every integer flag takes one rule,

@@ -512,21 +512,28 @@ def test_guided_inversion_matches_reference_bisection():
     assert np.all(got[:400] == 1.0)
 
 
-def test_guided_inversion_evaluates_few_points(monkeypatch):
+def _counted_inversion(monkeypatch, r, a, log_u):
+    """_invert_rank's answers and the lane count of each log_gamma_diff
+    call it made."""
     calls = []
 
     def counted(z, gap, m):
         calls.append(np.size(z))
         return log_gamma_diff(z, gap, m)
 
+    monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
+    got = ra_chain._invert_rank(r, a, log_u)
+    monkeypatch.undo()
+    return got, calls
+
+
+def test_guided_inversion_evaluates_few_points(monkeypatch):
     rng = stream(27, 1)
     n = 2000
     a = np.floor(10.0 ** rng.uniform(9.0, 12.0, n))
     r = np.floor(np.sqrt(a * rng.exponential(1.0, n))) + 1.0
     u = rng.random(n)
-    monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
-    got = ra_chain._invert_rank(r, a, np.log(u))
-    monkeypatch.undo()
+    got, calls = _counted_inversion(monkeypatch, r, a, np.log(u))
     assert np.array_equal(got, _reference_inversion(r, a, np.log(u)))
     # one tail evaluation per lane: the guess and the one-step ratio settle
     # every lane here, where a bisection over the support would take about
@@ -534,28 +541,42 @@ def test_guided_inversion_evaluates_few_points(monkeypatch):
     assert calls == [n]
 
 
-def test_guided_inversion_settles_by_the_second_point(monkeypatch):
-    # a lane the first point leaves open takes a Newton step on the log
-    # tail; one evaluation there settles every lane of these bands, where
-    # ranks near sqrt(a Exp(1)) are the chain's own
+def _chain_band(rng, lo, hi, n):
+    """n lanes with a log-uniform on [10^lo, 10^hi) and ranks near
+    sqrt(a Exp(1)), the chain's own, and their ln u."""
+    a = np.floor(10.0 ** rng.uniform(lo, hi, n))
+    r = np.minimum(np.floor(np.sqrt(a * rng.exponential(1.0, n))) + 1.0,
+                   a - 1.0)
+    return r, a, np.log(rng.random(n))
+
+
+def test_guided_inversion_settles_by_the_first_point(monkeypatch):
+    # the first point settles every lane of these bands with one tail
+    # evaluation: its answer is t or t + 1 (_settle), or below 2^53 the
+    # t - 1 that one more one-step ratio reaches; past 2^53 that step is
+    # not taken, and up to 1e20 no lane here needs it
     rng = stream(27, 4)
     n = 20_000
-    for lo, hi in ((1.0, 3.0), (3.0, 5.0), (5.0, 9.0)):
-        a = np.floor(10.0 ** rng.uniform(lo, hi, n))
-        r = np.minimum(np.floor(np.sqrt(a * rng.exponential(1.0, n))) + 1.0,
-                       a - 1.0)
-        log_u = np.log(rng.random(n))
-        calls = []
-
-        def counted(z, gap, m):
-            calls.append(np.size(z))
-            return log_gamma_diff(z, gap, m)
-
-        monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
-        got = ra_chain._invert_rank(r, a, log_u)
-        monkeypatch.undo()
+    for lo, hi in ((1.0, 3.0), (3.0, 5.0), (5.0, 9.0), (9.0, 15.0),
+                   (15.0, 20.0)):
+        r, a, log_u = _chain_band(rng, lo, hi, n)
+        got, calls = _counted_inversion(monkeypatch, r, a, log_u)
         assert np.array_equal(got, _reference_inversion(r, a, log_u))
-        assert len(calls) == 2, (lo, calls)
+        assert calls == [n], (lo, calls)
+
+
+def test_guided_inversion_settles_by_the_second_point(monkeypatch):
+    # past 2^53 a lane that the first point leaves open takes a Newton step
+    # on the log tail; one evaluation there, on those lanes only, settles
+    # every lane of this band.  Past about 1e22 a u can lie within the
+    # tail's rounding of a tail value, where the kernel and the reference
+    # bisection may part by one rank (ROADMAP item 9); this band has none
+    rng = stream(27, 4)
+    n = 20_000
+    r, a, log_u = _chain_band(rng, 20.0, 26.0, n)
+    got, calls = _counted_inversion(monkeypatch, r, a, log_u)
+    assert np.array_equal(got, _reference_inversion(r, a, log_u))
+    assert len(calls) == 2 and calls[0] == n and 1 <= calls[1] < 20, calls
 
 
 def test_guided_inversion_forced_lanes_leave_the_open_ones_alone(monkeypatch):
@@ -596,15 +617,17 @@ def test_guided_inversion_forced_lanes_leave_the_open_ones_alone(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-def _second_point_cases(mp):
-    """(r, a, x, ln u) past 2^53 whose answer x lies k = 2..5 ranks below
-    the first point t, so that the first point misses: ln u is the middle
-    of the log gap between the exact L(x + 1) and L(x).  At r = a/2 and
-    a/4 the leading-order guess overshoots by about 10% and 2% of x."""
+def _second_point_cases(mp, sizes=(10**16, 10**18, 10**20, 10**22),
+                        below=(2, 3, 4, 5)):
+    """(r, a, x, ln u), one per a in sizes, r in (a/2, a/4) and k in below,
+    whose answer x lies k ranks below the first point t, so that for
+    k >= 2 the first point misses: ln u is the middle of the log gap
+    between the exact L(x + 1) and L(x).  At r = a/2 and a/4 the
+    leading-order guess overshoots by about 10% and 2% of x."""
     cases = []
-    for a in (10**16, 10**18, 10**20, 10**22):
+    for a in sizes:
         for r in (a // 2, a // 4):
-            wanted = {2, 3, 4, 5}
+            wanted = set(below)
             x, ell = 1, mp.mpf(0)  # ell = L(x)
             while wanted:
                 nxt = ell + mp.log(mp.mpf(a - r - x) / (a + r + x))
@@ -629,16 +652,25 @@ def test_second_point_settles_lanes_past_2_53(monkeypatch):
         cases = _second_point_cases(mpmath.mp)
     assert len(cases) == 32
     r, a, x, log_u = (np.array(col, dtype=float) for col in zip(*cases))
-    calls = []
-
-    def counted(z, gap, m):
-        calls.append(z.size)
-        return log_gamma_diff(z, gap, m)
-
-    monkeypatch.setattr(ra_chain, "log_gamma_diff", counted)
-    got = ra_chain._invert_rank(r, a, log_u)
+    got, calls = _counted_inversion(monkeypatch, r, a, log_u)
     assert np.array_equal(got, x)
     assert calls == [32, 32]
+
+
+def test_first_point_reaches_t_minus_1_below_2_53_only(monkeypatch):
+    # an answer one rank below the first point takes no second evaluation
+    # below 2^53, where L(t - 1) comes from one more one-step ratio; past
+    # it, where not every rank is an exact double, that step is not taken
+    # and such a lane takes the second point; both draws are exact
+    mpmath = pytest.importorskip("mpmath")
+    for sizes, want in (((10**12, 10**15), 1), ((10**16, 10**20), 2)):
+        with mpmath.workdps(60):
+            cases = _second_point_cases(mpmath.mp, sizes, below=(1,))
+        assert len(cases) == 4
+        r, a, x, log_u = (np.array(col, dtype=float) for col in zip(*cases))
+        got, calls = _counted_inversion(monkeypatch, r, a, log_u)
+        assert np.array_equal(got, x)
+        assert calls == [4] * want, (sizes, calls)
 
 
 def _boundary_cases(mp):
